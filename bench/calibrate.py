@@ -20,12 +20,13 @@ import bisect
 import json
 import multiprocessing
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 
 REFERENCE_S = 0.002  # the reference task's time at the reference speed
 BURST = 15  # reference tasks per calibration; their median is the sample
 TICK_S = 0.05  # least time between two ticks
+WINDOW = 9  # serial samples behind one scale factor
+POOLED_WINDOW = 5  # pooled samples (bursts) behind one scale factor
 
 
 def reference_task() -> int:
@@ -50,23 +51,37 @@ def burst_median(count: int) -> float:
     return statistics.median(times)
 
 
+def _helper(conn) -> None:
+    """A calibration process: one burst per request, until it gets None."""
+    while (count := conn.recv()) is not None:
+        conn.send(burst_median(count))
+
+
 class Speedometer:
     """Reference-task timings taken along a run.
 
     ``tick`` runs one task when at least TICK_S seconds have passed since
-    the last; ``burst`` runs several at once, for the moments around a phase
-    in which the caller must stay idle.  With ``jobs`` > 1 a burst runs in
-    that many fresh processes at once, as a pool of that size would, and the
-    mean of their medians is one sample.  They are forked: the caller is
-    single threaded there, and fresh interpreters would start too unevenly
-    to run at the same time.
+    the last; ``burst`` runs BURST at once, for the moments around a phase in
+    which the caller must stay idle.  With ``jobs`` > 1 a burst runs in that
+    many helper processes at once, as a pool of that size would, and the
+    mean of their medians is one sample.  The helpers start here, before the
+    caller holds any pass's data, and live until ``close``: a measured
+    process reads its children's peak memory before then, so it sees only
+    the library's pool workers.
     """
 
-    def __init__(self, window: int = 9, jobs: int = 1):
-        self.window = window
-        self.jobs = jobs
+    def __init__(self, jobs: int = 1):
+        self.window = WINDOW if jobs == 1 else POOLED_WINDOW
         self.times: list[float] = []
         self.durations: list[float] = []
+        self.helpers = []
+        ctx = multiprocessing.get_context("fork")
+        for _ in range(jobs if jobs > 1 else 0):
+            conn, theirs = ctx.Pipe()
+            proc = ctx.Process(target=_helper, args=(theirs,), daemon=True)
+            proc.start()
+            theirs.close()
+            self.helpers.append((proc, conn))
 
     def _one(self) -> None:
         t0 = perf_counter()
@@ -78,15 +93,15 @@ class Speedometer:
         if not self.times or perf_counter() - self.times[-1] >= TICK_S:
             self._one()
 
-    def burst(self, count: int = BURST) -> None:
-        if self.jobs == 1:
-            for _ in range(count):
+    def burst(self) -> None:
+        if not self.helpers:
+            for _ in range(BURST):
                 self._one()
             return
         t0 = perf_counter()
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(self.jobs, mp_context=ctx) as pool:
-            medians = list(pool.map(burst_median, [2 * count] * self.jobs))
+        for _, conn in self.helpers:
+            conn.send(2 * BURST)
+        medians = [conn.recv() for _, conn in self.helpers]
         self.times.append(t0)
         self.durations.append(statistics.mean(medians))
 
@@ -102,12 +117,10 @@ class Speedometer:
                 hi += 1
         return REFERENCE_S / statistics.median(self.durations[lo:hi])
 
-
-def sample() -> float:
-    """Median time of BURST reference tasks, in seconds."""
-    return burst_median(BURST)
-
-
-def factor(before: float, after: float) -> float:
-    """Scale for times measured between two samples."""
-    return REFERENCE_S / ((before + after) / 2)
+    def close(self) -> None:
+        for proc, conn in self.helpers:
+            conn.send(None)
+            conn.close()
+        for proc, _ in self.helpers:
+            proc.join()
+        self.helpers = []

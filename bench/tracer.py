@@ -9,7 +9,7 @@ changed.
 
 Each span records name, start, end, parent span and item id.  Counts and self
 times (span time minus the time of child spans) are accumulated as spans
-close; the spans themselves are kept in memory up to ``span_cap`` and written
+close; the spans themselves are kept in memory up to SPAN_CAP and written
 out by the caller.
 """
 
@@ -20,6 +20,8 @@ import os
 import sys
 from time import perf_counter
 
+PACKAGE = "stiefelq"
+SPAN_CAP = 200_000  # spans kept in memory; counts and self times cover all
 TARGETS = {
     "arith": ("binomial", "gcd_with_binomials", "binomial_mod", "is_prime", "factorize"),
     "manifold": ("validate",),
@@ -32,9 +34,7 @@ TARGETS = {
 
 
 class Tracer:
-    def __init__(self, package: str = "stiefelq", span_cap: int = 200_000):
-        self.package = package
-        self.span_cap = span_cap
+    def __init__(self):
         self.pid = os.getpid()
         self.item = -1
         self.calls: dict[str, int] = {}
@@ -61,7 +61,7 @@ class Tracer:
         self.self_s[name] = self.self_s.get(name, 0.0) + total - child
         if self._stack:
             self._stack[-1][3] += total
-        if len(self.spans) < self.span_cap:
+        if len(self.spans) < SPAN_CAP:
             self.spans.append((sid, name, start, end, parent, self.item))
         return total
 
@@ -173,7 +173,7 @@ class Tracer:
     # --- install / restore ---------------------------------------------------
 
     def install(self) -> None:
-        pkg = self.package
+        pkg = PACKAGE
         originals = []
         for mod_name, names in TARGETS.items():
             try:

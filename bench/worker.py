@@ -2,7 +2,7 @@
 
 Modes:
   setup  import the package and generate the inputs, print ``ready``, then
-         one calibration sample as a JSON line.
+         the speed factor of one calibration burst as a JSON line.
   run    one warm-up pass, then time passes until --seconds have passed;
          print one JSON line.
   trace  run a fixed number of passes untraced, then the same passes traced;
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import gzip
+import itertools
 import json
 import math
 import multiprocessing
@@ -38,7 +39,7 @@ def nproc() -> int:
 
 
 def pool_jobs(name: str) -> int:
-    return min(2, nproc()) if name == "table_json_j2" else 1
+    return min(workloads.WORKLOADS[name].get("max_jobs", 1), nproc())
 
 
 def tail(latencies: list[float]) -> tuple[float, float, int]:
@@ -55,6 +56,14 @@ def tail(latencies: list[float]) -> tuple[float, float, int]:
     return 100 * (n - beyond) / n, xs[n - beyond - 1], beyond
 
 
+def interquartile_mean(xs: list[float]) -> float:
+    """Mean of the middle half.  A run has only a few passes, so this is
+    steadier than their median, and as robust to one stalled pass."""
+    xs = sorted(xs)
+    cut = len(xs) // 4
+    return statistics.mean(xs[cut:len(xs) - cut])
+
+
 def peak_rss_mb() -> float:
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
@@ -63,11 +72,13 @@ def peak_rss_mb() -> float:
 
 def timed_passes(lib, name, passes, speed, tracer=None, verified=None) -> list:
     """Run (pass id, inputs) pairs, with a burst of reference timings before
-    and after; ``speed`` also ticks between serial items."""
+    the first and after each; ``speed`` also ticks between serial items."""
     speed.burst()
-    results = [workloads.run_pass(lib, name, inputs, p, tracer, speed, verified=verified)
-               for p, inputs in passes]
-    speed.burst()
+    results = []
+    for p, inputs in passes:
+        results.append(workloads.run_pass(lib, name, inputs, p, tracer, speed,
+                                          verified=verified))
+        speed.burst()
     return results
 
 
@@ -90,7 +101,14 @@ def summarize(results, speed, warmup=()) -> dict:
     scaled = [r.scaled(speed) for r in results]
     busy = sum(b for _, b in scaled)
     raw_busy = sum(r.busy_s for r in results)
-    raw = latency_stats([x for r in results for x in r.latencies])
+    rows = sum(r.attempted for r in results)
+    # pooled rows arrive in chunks and have no service time of their own:
+    # there both latency metrics read the run's time per row
+    pooled = bool(results) and not results[0].starts
+    if pooled:
+        raw = {"item_p50_s": raw_busy / rows, "item_tail_s": raw_busy / rows}
+    else:
+        raw = latency_stats([x for r in results for x in r.latencies])
     factors = [calibrate.REFERENCE_S / d for d in speed.durations]
     out = {
         "passes": len(results),
@@ -103,9 +121,12 @@ def summarize(results, speed, warmup=()) -> dict:
         "digests": [[r.pass_id, r.attempted, r.digest] for r in (*warmup, *results)],
         "errors": [e for r in (*warmup, *results) for e in r.errors][:20],
     }
-    out.update(latency_stats([x for lat, _ in scaled for x in lat]))
+    if pooled:
+        out.update(item_p50_s=busy / rows, item_tail_s=busy / rows, samples=rows)
+    else:
+        out.update(latency_stats([x for lat, _ in scaled for x in lat]))
     firsts = [lat[0] for lat, _ in scaled if lat]
-    out["first_item_s"] = statistics.median(firsts) if firsts else 0.0
+    out["first_item_s"] = interquartile_mean(firsts) if firsts else 0.0
     return out
 
 
@@ -157,7 +178,9 @@ def main(argv=None) -> int:
 
     if args.mode == "setup":
         print("ready", flush=True)
-        print(json.dumps({"calibration_s": calibrate.sample()}), flush=True)
+        speed = calibrate.Speedometer()
+        speed.burst()
+        print(json.dumps({"speed_factor": speed.factor_at(perf_counter())}), flush=True)
         return 0
 
     meta = {
@@ -169,19 +192,26 @@ def main(argv=None) -> int:
     }
 
     if args.mode == "run":
-        speed = calibrate.Speedometer(jobs=jobs, window=9 if jobs == 1 else 5)
-        verified: set = set()
-        # pass 0 warms the process up (first calls, the pool's first fork);
-        # it is checked but not timed
-        warmup = timed_passes(lib, name, [(0, passes[0])], speed, verified=verified)
-        results = []
-        t0 = perf_counter()
-        while not results or perf_counter() - t0 < args.seconds:
-            p = len(results) + 1
-            results += timed_passes(lib, name, [(p, passes[p % len(passes)])], speed,
-                                    verified=verified)
-        out = summarize(results, speed, warmup)
-        out.update(meta=meta, peak_rss_mb=peak_rss_mb())
+
+        def run_passes():
+            # pass 0 warms the process up (first calls, the pool's first
+            # fork); it is checked but not timed
+            for p in itertools.count():
+                if p == 1:
+                    t0 = perf_counter()
+                elif p > 1 and perf_counter() - t0 >= args.seconds:
+                    return
+                yield p, passes[p % len(passes)]
+
+        speed = calibrate.Speedometer(jobs)
+        try:
+            results = timed_passes(lib, name, run_passes(), speed, verified=set())
+            out = summarize(results[1:], speed, results[:1])
+            # before the calibration helpers exit, so the children's peak
+            # covers only the library's pool workers
+            out.update(meta=meta, peak_rss_mb=peak_rss_mb())
+        finally:
+            speed.close()
         print(json.dumps(out), flush=True)
         return 0
 
@@ -189,12 +219,15 @@ def main(argv=None) -> int:
 
     count = workloads.WORKLOADS[name]["trace_passes"]
     chosen = list(enumerate(passes[:count]))
-    speed = calibrate.Speedometer(jobs=jobs, window=9 if jobs == 1 else 5)
+    speed = calibrate.Speedometer(jobs)
     verified: set = set()
-    plain = timed_passes(lib, name, chosen, speed, verified=verified)
     tracer = Tracer()
-    with tracer:
-        traced = timed_passes(lib, name, chosen, speed, tracer, verified)
+    try:
+        plain = timed_passes(lib, name, chosen, speed, verified=verified)
+        with tracer:
+            traced = timed_passes(lib, name, chosen, speed, tracer, verified)
+    finally:
+        speed.close()
     untraced_s = scaled_busy(plain, speed)
     traced_s = scaled_busy(traced, speed)
     reports = tracer.calls.get("report.compute_report", 0) or tracer.calls.get("span.span_report", 0)

@@ -1,31 +1,36 @@
 """Seeded inputs and the timed passes of the four workloads.
 
-A run is a sequence of passes.  Pass p of seed s draws its inputs from
-``Random(f"{workload}:{s}:{p % passes_per_cycle}")``; every pass holds the
-same strata (bins of n and of k/n, the number of distinct primes of m, the
-large-q share), so different seeds cost about the same.  Only the timed calls
-into the library count as busy time; digests and checks run between them.
+A run is a sequence of passes, and pass p shares its inputs with pass
+p + passes_per_cycle.  Every pass holds the same strata (bins of n and of
+k/n, the number of distinct primes of m, the large-q share), and the seed
+picks values inside them, so different seeds cost about the same.  Only
+the timed calls into the library count as busy time; digests and checks run
+between them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import math
 import random
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
 import checks
 
-SPEC = json.loads((Path(__file__).resolve().parent / "workloads.json").read_text())
+HERE = Path(__file__).resolve().parent
+SPEC = json.loads((HERE / "workloads.json").read_text())
 PASSES_PER_CYCLE = SPEC["passes_per_cycle"]
 DEFAULT_SEED = SPEC["default_seed"]
 WORKLOADS = SPEC["workloads"]
 ITEM_WORKLOADS = ("dossier", "span_large")
-DIGESTS = Path(__file__).resolve().parent / "digests.json"
+DIGESTS = HERE / "digests.json"
+SPOOL_DIR = HERE / "out"  # pooled rows are spooled here while a pass runs
 # per workload: the SHA-256 of every byte each pass of the default seed
 # renders, recorded by record.py
 RECORDED = json.loads(DIGESTS.read_text()) if DIGESTS.is_file() else {}
@@ -70,8 +75,20 @@ def composites(pool: list[int], distinct: int) -> list[int]:
     return sorted(out)
 
 
-def _binned(rng: random.Random, lo: float, hi: float, b: int, bins: int) -> float:
-    return lo + (b + rng.random()) * (hi - lo) / bins
+@functools.lru_cache(maxsize=None)
+def _lattice(name: str, seed: int, key: str) -> list[float]:
+    """One position in [0, 1) per pass of a cycle, spread evenly over the
+    cycle in an order and with an offset drawn from the seed.  Each stratum
+    of a seed then covers its whole bin, so the median of a heavy-tailed
+    workload does not move with the seed's luck of the draw."""
+    rng = random.Random(f"{name}:{seed}:{key}")
+    offset = rng.random()
+    return [(j + offset) / PASSES_PER_CYCLE
+            for j in rng.sample(range(PASSES_PER_CYCLE), PASSES_PER_CYCLE)]
+
+
+def _binned(position: float, lo: float, hi: float, b: int, bins: int) -> float:
+    return lo + (b + position) * (hi - lo) / bins
 
 
 def _strata(name: str, count: int) -> list[int]:
@@ -86,26 +103,29 @@ def _large_q(rng: random.Random, lo: int, hi: int) -> int:
 
 
 def item_pass(name: str, seed: int, p: int) -> list[tuple[int, int, int]]:
-    """(n, k, m) triples of one pass of ``dossier`` or ``span_large``."""
+    """(n, k, m) triples of one pass of ``dossier`` or ``span_large``.  Regular
+    items take their place in their stratum from ``_lattice``; the large-q
+    items are drawn at random.  The first item is the same in every pass, so
+    first_item_ms times one fixed probe."""
     w = WORKLOADS[name]
     rng = random.Random(f"{name}:{seed}:{p % PASSES_PER_CYCLE}")
     pools = {r: composites(w["m_prime_pool"], r) for r in range(w["m_distinct_primes"][0],
                                                                w["m_distinct_primes"][1] + 1)}
     counts = sorted(pools)
     first = w["first_item"]
-    n = rng.randint(*first["n"])
-    items = [(n, max(1, round(n * first["k_fraction"])), rng.choice(first["m"]))]
+    items = [(first["n"], max(1, round(first["n"] * first["k_fraction"])), first["m"])]
     large = w.get("large_q")
     regular = w["items_per_pass"] - 1 - (large["items_per_pass"] if large else 0)
     n_lo, n_hi = w["n_range"]
     f_lo, f_hi = w["k_fraction"]
     k_bins = _strata(name, regular)
+    c = p % PASSES_PER_CYCLE
     for i in range(regular):
-        n = min(n_hi, int(_binned(rng, n_lo, n_hi + 1, i, regular)))
-        frac = _binned(rng, f_lo, f_hi, k_bins[i], regular)
-        k_max = n - 2 if name == "span_large" else n - 1
-        k = min(k_max, max(1, round(frac * n)))
-        items.append((n, k, rng.choice(pools[counts[i % len(counts)]])))
+        n = min(n_hi, int(_binned(_lattice(name, seed, f"n{i}")[c], n_lo, n_hi + 1, i, regular)))
+        frac = _binned(_lattice(name, seed, f"k{i}")[c], f_lo, f_hi, k_bins[i], regular)
+        k = min(n - w["k_margin"], max(1, round(frac * n)))
+        pool = pools[counts[i % len(counts)]]
+        items.append((n, k, pool[int(_lattice(name, seed, f"m{i}")[c] * len(pool))]))
     if large:
         for _ in range(large["items_per_pass"]):
             n = rng.randint(*large["n"])
@@ -120,13 +140,13 @@ def item_pass(name: str, seed: int, p: int) -> list[tuple[int, int, int]]:
 def table_spec(name: str, seed: int, p: int, jobs: int) -> dict:
     """GridSpec keyword arguments of one pass of a table workload."""
     w = WORKLOADS[name]
-    offset = (7 * seed + p % PASSES_PER_CYCLE) % 16
+    offset = (w["m_offset_step"] * seed + p % PASSES_PER_CYCLE) % w["m_offsets"]
     m_lo = w["m_first"] + offset
     return {
         "n_range": tuple(w["n_range"]),
-        "k_range": None,
+        "k_range": None,  # every k in 1..n-1
         "m_range": (m_lo, m_lo + w["m_window"] - 1),
-        "fmt": "csv" if name == "table_csv" else "json",
+        "fmt": w["fmt"],
         "jobs": jobs,
     }
 
@@ -156,7 +176,7 @@ def _checked(check, *args) -> list[str]:
 @dataclass
 class PassResult:
     pass_id: int
-    latencies: list[float] = field(default_factory=list)
+    latencies: list[float] = field(default_factory=list)  # pooled: the first row only
     starts: list[float] = field(default_factory=list)  # serial: when each item began
     span: tuple[float, float] = (0.0, 0.0)  # pooled: call and exhaustion of the table
     attempted: int = 0
@@ -235,8 +255,10 @@ def _once(check, verified: set):
 def run_table(lib, spec: dict, pass_id: int, tracer=None, speed=None,
               verified: set | None = None) -> PassResult:
     """One generate_table call.  Serial rows are timed one at a time and
-    checked between them.  Pooled rows are checked after the pass, so the
-    checks do not compete with the workers for processors."""
+    checked between them.  Pooled rows are written to a spool file as they
+    arrive, as ``stiefelq table`` writes them out, and checked after the
+    pass: the checks do not compete with the workers for processors, and the
+    measured process never holds a whole pass of rows."""
     res = PassResult(pass_id)
     h = hashlib.sha256()
     points = grid_points(spec)
@@ -248,13 +270,14 @@ def run_table(lib, spec: dict, pass_id: int, tracer=None, speed=None,
         check = lambda row, point: _checked(checks.json_row_errors, lib, row, point)
     if verified is not None:
         check = _once(check, verified)
-    kept: list[bytes] = []
+    spool = None
+    if pooled:
+        SPOOL_DIR.mkdir(exist_ok=True)
+        spool = tempfile.TemporaryFile(dir=SPOOL_DIR)
     header = csv
     delivered = 0
     if tracer is not None:
         tracer.item = pass_id * 100000
-    if speed is not None and pooled:
-        speed.burst()
     t_call = t_prev = perf_counter()
     gen = lib.generate_table(lib.GridSpec(**spec))
     try:
@@ -276,9 +299,9 @@ def run_table(lib, spec: dict, pass_id: int, tracer=None, speed=None,
             if tracer is not None:
                 tracer.item = pass_id * 100000 + delivered
             if pooled:
-                if not kept:
+                if delivered == 1:
                     t_first = t
-                kept.append(row)
+                spool.write(row + b"\n")
             else:
                 res.latencies.append(t - t_prev)
                 res.starts.append(t_prev)
@@ -298,21 +321,22 @@ def run_table(lib, spec: dict, pass_id: int, tracer=None, speed=None,
     finally:
         gen.close()  # shuts a pool down on every path
     res.span = (t_call, t_end)
-    if pooled and kept:
-        # rows come back in chunks, not one at a time: each is charged the
-        # pass's wall time per row, and the first the time to the first row
-        res.latencies = [t_first - t_call] + [(t_end - t_call) / len(kept)] * (len(kept) - 1)
-    if speed is not None and pooled:
-        speed.burst()
+    if pooled and delivered:
+        # rows come back in chunks, not one at a time: only the time to the
+        # first row is a latency of its own
+        res.latencies = [t_first - t_call]
     if delivered < len(points) and not res.errors:
         missing = len(points) - delivered
         res.attempted += missing
         res.failed += missing
         res.errors.append(f"table {spec}: {delivered} of {len(points)} rows")
-    for row, point in zip(kept, points):
-        errors = check(row, point)
-        if errors:
-            res.fail(errors)
+    if pooled:
+        spool.seek(0)
+        for line, point in zip(spool, points):
+            errors = check(line[:-1], point)
+            if errors:
+                res.fail(errors)
+        spool.close()
     res.digest = h.hexdigest()
     return res
 
