@@ -15,7 +15,6 @@ from stiefelq.arith import (
     binomial,
     binomial_mod,
     factorize,
-    gcd_with_binomials,
     is_prime,
     padic_valuation_binomial,
     radon_hurwitz,
@@ -74,10 +73,7 @@ from stiefelq.span import (
 )
 from stiefelq.torsion import (
     TorsionProfile,
-    order_of_power,
-    torsion_order,
     torsion_profile,
-    torsion_profile_via_valuations,
     transgression_coefficient,
 )
 
@@ -112,11 +108,9 @@ __all__ = [
     "compute_report",
     "default_primes",
     "factorize",
-    "gcd_with_binomials",
     "generate_table",
     "is_prime",
     "lower_bound_from_external_span",
-    "order_of_power",
     "padic_valuation_binomial",
     "parallelizable_verdict",
     "poincare_polynomial",
@@ -133,9 +127,7 @@ __all__ = [
     "span_upper_bound",
     "stably_parallelizable_verdict",
     "stiefel_whitney_classes",
-    "torsion_order",
     "torsion_profile",
-    "torsion_profile_via_valuations",
     "transgression_coefficient",
     "validate",
 ]

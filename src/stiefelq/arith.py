@@ -1,5 +1,5 @@
 """Exact integer kernel: binomial coefficients, p-adic valuations of
-binomials, gcd windows over binomial ranges, and Radon-Hurwitz numbers.
+binomials, and Radon-Hurwitz numbers.
 
 Everything here is pure and exact (Python ints).  Nothing rounds, nothing
 overflows, and every function is deterministic in its arguments.
@@ -7,14 +7,12 @@ overflows, and every function is deterministic in its arguments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = [
     "binomial",
     "binomial_mod",
     "padic_valuation_binomial",
-    "gcd_with_binomials",
     "RHDecomposition",
     "rh_decompose",
     "radon_hurwitz",
@@ -125,26 +123,6 @@ def _digit_product_mod(n: int, j: int, p: int) -> int:
         n //= p
         j //= p
     return out
-
-
-def gcd_with_binomials(m: int, n: int, lo: int, hi: int) -> int:
-    """gcd of m with every C(n, j) for lo < j <= hi.
-
-    The window is half-open at the bottom; lo == hi means an empty window and
-    the result is m itself.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if lo < 0 or lo > hi:
-        raise ValueError(f"window must satisfy 0 <= lo <= hi, got [{lo}, {hi}]")
-    if hi > n:
-        raise ValueError(f"window end {hi} exceeds n = {n}")
-    g = m
-    for j in range(lo + 1, hi + 1):
-        g = math.gcd(g, binomial(n, j))
-        if g == 1:
-            break  # gcd can only shrink; 1 is absorbing
-    return g
 
 
 @dataclass(frozen=True)

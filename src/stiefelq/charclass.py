@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from stiefelq.arith import binomial, binomial_mod
 from stiefelq.manifold import ManifoldParams
 from stiefelq.modp import truncation_exponent
-from stiefelq.torsion import torsion_order
+from stiefelq.torsion import TorsionProfile, torsion_profile
 
 __all__ = [
     "PontrjaginTerm",
@@ -53,16 +53,10 @@ class CharClassReport:
     all_sw_vanish: bool
 
 
-def pontrjagin_class(params: ManifoldParams, j: int) -> PontrjaginTerm:
-    """The j-th Pontrjagin term.  Powers of the degree-2 class beyond the n-th
-    are zero, so for 2j > n the modulus is 1 and the term vanishes outright."""
-    if j < 1:
-        raise ValueError(f"index j must be >= 1, got {j}")
-    raw = binomial(params.n * params.k, j)
-    if 2 * j <= params.n:
-        modulus = torsion_order(params, 2 * j)
-    else:
-        modulus = 1
+def _pontrjagin_term(profile: TorsionProfile, j: int, raw: int) -> PontrjaginTerm:
+    # Powers of the degree-2 class beyond the n-th are zero, so for 2j > n the
+    # modulus is 1 and the term vanishes outright.
+    modulus = profile.orders[2 * j - 1] if 2 * j <= len(profile.orders) else 1
     reduced = raw % modulus
     return PontrjaginTerm(
         j=j,
@@ -71,6 +65,13 @@ def pontrjagin_class(params: ManifoldParams, j: int) -> PontrjaginTerm:
         reduced=reduced,
         is_zero=(modulus == 1 or reduced == 0),
     )
+
+
+def pontrjagin_class(params: ManifoldParams, j: int) -> PontrjaginTerm:
+    """The j-th Pontrjagin term, for any j >= 1."""
+    if j < 1:
+        raise ValueError(f"index j must be >= 1, got {j}")
+    return _pontrjagin_term(torsion_profile(params), j, binomial(params.n * params.k, j))
 
 
 def stiefel_whitney_classes(params: ManifoldParams) -> tuple[StiefelWhitneyTerm, ...]:
@@ -94,13 +95,19 @@ def stiefel_whitney_classes(params: ManifoldParams) -> tuple[StiefelWhitneyTerm,
     return tuple(terms)
 
 
-def char_class_report(params: ManifoldParams) -> CharClassReport:
+def char_class_report(params: ManifoldParams, profile: TorsionProfile) -> CharClassReport:
     """All Pontrjagin terms for 1 <= j <= n/2 (the rest vanish outright) plus
-    the Stiefel-Whitney terms and the two summary flags."""
-    pont = tuple(pontrjagin_class(params, j) for j in range(1, params.n // 2 + 1))
+    the Stiefel-Whitney terms and the two summary flags.  ``profile`` is the
+    torsion profile of ``params``; it supplies every modulus."""
+    nk = params.n * params.k
+    raw = 1
+    pont = []
+    for j in range(1, params.n // 2 + 1):
+        raw = raw * (nk - j + 1) // j  # C(nk, j) from C(nk, j - 1), exactly
+        pont.append(_pontrjagin_term(profile, j, raw))
     sw = stiefel_whitney_classes(params)
     return CharClassReport(
-        pontrjagin=pont,
+        pontrjagin=tuple(pont),
         stiefel_whitney=sw,
         all_pontrjagin_vanish=all(t.is_zero for t in pont),
         all_sw_vanish=not any(t.present for t in sw),

@@ -110,11 +110,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
         jobs=_resolve_jobs(args.jobs),
     )
     out = open(args.out, "wb") if args.out else sys.stdout.buffer
+    rows = generate_table(spec)
     try:
-        for row in generate_table(spec):
+        for row in rows:
             out.write(row)
             out.write(b"\n")
         out.flush()
+    except BrokenPipeError:
+        # The reader went away (``table ... | head``): stop without a message.
+        # Closing the generator cancels the pending rows; pointing stdout at
+        # devnull keeps the flush at interpreter exit from failing again.
+        rows.close()
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
         if args.out:
             out.close()

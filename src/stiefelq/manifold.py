@@ -29,9 +29,9 @@ class ParameterError(ValueError):
 class ManifoldParams:
     """The defining triple: k-frames in C^n modulo m-th roots of unity.
 
-    Requires 1 <= k < n and m >= 2.  k = n (the full unitary group quotient)
-    and m = 1 (no quotient) are rejected rather than special-cased: the closed
-    forms implemented downstream are derived for this range only.
+    Requires integers 1 <= k < n and m >= 2.  k = n (the full unitary group
+    quotient) and m = 1 (no quotient) are rejected rather than special-cased:
+    the closed forms implemented downstream are derived for this range only.
     """
 
     n: int
@@ -39,6 +39,15 @@ class ManifoldParams:
     m: int
 
     def __post_init__(self) -> None:
+        # Exact type test: it turns away bool (True is no frame count) and
+        # costs little, since tables validate every grid point up front.
+        if not type(self.n) is type(self.k) is type(self.m) is int:
+            name = next(x for x in "nkm" if type(getattr(self, x)) is not int)
+            value = getattr(self, name)
+            raise ParameterError(
+                f"{name}-not-int",
+                f"{name} must be an int, got {type(value).__name__} {value!r}",
+            )
         if self.k < 1:
             raise ParameterError("k-too-small", f"k must be >= 1, got {self.k}")
         if self.k >= self.n:
@@ -54,7 +63,8 @@ class ManifoldParams:
 
 
 def validate(n: int, k: int, m: int) -> ManifoldParams:
-    """Check 1 <= k < n and m >= 2 and return the validated triple."""
+    """Check that n, k and m are ints (not bools) with 1 <= k < n and m >= 2,
+    and return the validated triple."""
     return ManifoldParams(n=n, k=k, m=m)
 
 

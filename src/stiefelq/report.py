@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -100,7 +101,8 @@ def compute_report(
 ) -> InvariantReport:
     """Everything the library knows about one (n, k, m), for the given primes
     (default: the primes dividing m, plus 2).  Presentations are listed with
-    p ascending."""
+    p ascending.  Each layer runs once: the torsion profile feeds the char
+    classes, and those feed the span verdicts."""
     ps = default_primes(params.m) if primes is None else _check_primes(primes)
     cohomology = []
     for p in ps:
@@ -122,13 +124,15 @@ def compute_report(
             "cohomology)",
             "k = 1: the span = stable-span criteria make no statement",
         )
+    torsion = torsion_profile(params)
+    char_classes = char_class_report(params, torsion)
     return InvariantReport(
         params=params,
         basic=basic_invariants(params),
-        torsion=torsion_profile(params),
+        torsion=torsion,
         cohomology=tuple(cohomology),
-        char_classes=char_class_report(params),
-        span=span_report(params),
+        char_classes=char_classes,
+        span=span_report(params, char_classes=char_classes),
         notes=notes,
     )
 
@@ -433,18 +437,25 @@ def _table_row(task: tuple[tuple[int, int, int], tuple[int, ...] | None, str]) -
 def generate_table(spec: GridSpec) -> Iterator[bytes]:
     """Yield rendered rows (no trailing newlines) in lexicographic (n, k, m)
     order; CSV starts with the header row.  The output is byte-identical for
-    any ``jobs`` value: workers only compute, ordering is fixed up front."""
+    any ``jobs`` value: workers only compute, ordering is fixed up front.  At
+    most min(jobs, CPU count, rows) worker processes are started."""
     points = _grid_points(spec)
     if spec.fmt == "csv":
         yield CSV_HEADER.encode()
     tasks = [(pt, spec.primes, spec.fmt) for pt in points]
-    if spec.jobs == 1 or len(tasks) < 2:
+    workers = min(spec.jobs, os.cpu_count() or 1, len(tasks))
+    if workers < 2:
         for task in tasks:
             yield _table_row(task)
         return
-    chunk = max(1, len(tasks) // (spec.jobs * 4))
-    with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    chunk = max(1, len(tasks) // (workers * 4))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
         yield from pool.map(_table_row, tasks, chunksize=chunk)
+    finally:
+        # A consumer that stops early (``table | head``) must not wait for
+        # the rows nobody will read.
+        pool.shutdown(cancel_futures=True)
 
 
 def render_table(spec: GridSpec) -> bytes:

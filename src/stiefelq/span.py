@@ -22,8 +22,9 @@ from enum import Enum
 from functools import total_ordering
 
 from stiefelq.arith import radon_hurwitz
-from stiefelq.charclass import char_class_report
+from stiefelq.charclass import CharClassReport, char_class_report
 from stiefelq.manifold import ManifoldParams, ParameterError
+from stiefelq.torsion import torsion_profile
 
 __all__ = [
     "TriState",
@@ -127,12 +128,16 @@ def span_eq_stable_guaranteed(params: ManifoldParams) -> bool:
     return params.k % 2 == 0 or params.n % 2 == 1 or params.n % 4 == 2
 
 
-def _verdicts(params: ManifoldParams) -> tuple[TriState, TriState, str]:
-    """(stably_parallelizable, parallelizable, provenance line)."""
+def _verdicts(
+    params: ManifoldParams, classes: CharClassReport | None = None
+) -> tuple[TriState, TriState, str]:
+    """(stably_parallelizable, parallelizable, provenance line); the char
+    classes are built here when the caller has none."""
     if params.k == params.n - 1:
         return TriState.YES, TriState.YES, f"verdicts YES: {_LIE_REASON}"
-    report = char_class_report(params)
-    for t in report.pontrjagin:
+    if classes is None:
+        classes = char_class_report(params, torsion_profile(params))
+    for t in classes.pontrjagin:
         if not t.is_zero:
             return (
                 TriState.NO,
@@ -140,7 +145,7 @@ def _verdicts(params: ManifoldParams) -> tuple[TriState, TriState, str]:
                 f"verdicts NO: Pontrjagin term j={t.j} has coefficient "
                 f"{t.raw_coefficient} = {t.reduced} (mod {t.modulus}), nonzero",
             )
-    for t in report.stiefel_whitney:
+    for t in classes.stiefel_whitney:
         if t.present:
             return (
                 TriState.NO,
@@ -194,9 +199,14 @@ class SpanReport:
     provenance: tuple[str, ...]
 
 
-def span_report(params: ManifoldParams, external_span: int | None = None) -> SpanReport:
+def span_report(
+    params: ManifoldParams,
+    external_span: int | None = None,
+    char_classes: CharClassReport | None = None,
+) -> SpanReport:
     """Assemble every implemented bound and verdict, each with a provenance
-    line naming the mechanism that produced it."""
+    line naming the mechanism that produced it.  A caller that already holds
+    the char classes of ``params`` passes them in so they are not rebuilt."""
     n, k = params.n, params.k
     lower, why = _lower_bound_chain(n, k)
     prov = [f"span lower bound {lower}: {why}"]
@@ -244,7 +254,7 @@ def span_report(params: ManifoldParams, external_span: int | None = None) -> Spa
                 f"(needs more than k^2 = {k * k} over {stable_lower})"
             )
 
-    stably, plain, verdict_why = _verdicts(params)
+    stably, plain, verdict_why = _verdicts(params, char_classes)
     prov.append(verdict_why)
     return SpanReport(
         span_lower=lower,

@@ -10,6 +10,15 @@ and these orders come out of the transgression in the spectral sequence of
 the relevant circle bundle: the odd generator of degree 2(n - k) + 2j - 1
 transgresses onto C(n, k - j) times the (n - k + j)-th power of y.
 
+The gcd is computed one prime at a time and no binomial is ever formed: for
+p^e exactly dividing m, the p-part of the order at r is
+p^min(e, v_p(C(n, j)) : n - k < j <= r), and by Kummer's theorem v_p(C(n, j))
+is the number of carries when adding j and n - j in base p.  A prime p > n
+divides no C(n, j) with 0 <= j <= n (both summands are single base-p digits
+whose sum n < p never carries), so the part of m made of such primes drops
+out at r = n - k + 1.  Splitting m therefore needs trial division by 2..n
+only, never a full factorization of m.
+
 The height of y is the largest r with y^r nonzero, always between n - k and
 n - 1.
 """
@@ -19,20 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from stiefelq.arith import (
-    binomial,
-    factorize,
-    gcd_with_binomials,
-    padic_valuation_binomial,
-)
+from stiefelq.arith import binomial, padic_valuation_binomial
 from stiefelq.manifold import ManifoldParams
 
 __all__ = [
     "TorsionProfile",
-    "torsion_order",
     "torsion_profile",
-    "torsion_profile_via_valuations",
-    "order_of_power",
     "transgression_coefficient",
 ]
 
@@ -51,44 +52,29 @@ class TorsionProfile:
         return self.orders[r - 1]
 
 
-def _check_power_index(params: ManifoldParams, r: int) -> None:
-    if not 1 <= r <= params.n:
-        raise ValueError(f"power index r must lie in [1, {params.n}], got {r}")
-
-
-def torsion_order(params: ManifoldParams, r: int) -> int:
-    """Order of the r-th power of the degree-2 class, straight from the gcd
-    definition (no incremental state)."""
-    _check_power_index(params, r)
-    window_start = params.n - params.k
-    if r <= window_start:
-        return params.m
-    return gcd_with_binomials(params.m, params.n, window_start, r)
+def _prime_powers_up_to(m: int, n: int) -> dict[int, int]:
+    """{p: e} for every prime p <= n with p^e exactly dividing m."""
+    out = {}
+    for d in range(2, n + 1):
+        if m == 1:
+            break
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            out[d] = e
+    return out
 
 
 def torsion_profile(params: ManifoldParams) -> TorsionProfile:
-    """All n orders at once, sharing one incremental gcd along the window."""
+    """All n orders, through carry counts along the window n - k < r <= n.
+    Primes whose running minimum hits 0 stop contributing and are dropped."""
     n, k, m = params.n, params.k, params.m
     orders = [m] * (n - k)
-    g = m
-    for r in range(n - k + 1, n + 1):
-        g = math.gcd(g, binomial(n, r))
-        orders.append(g)
-    return TorsionProfile(orders=tuple(orders), height=_height(orders))
-
-
-def torsion_profile_via_valuations(params: ManifoldParams) -> TorsionProfile:
-    """Fast path to the same profile through p-adic valuations.
-
-    For each prime power p^e dividing m the p-part of the order at r is
-    p^min(e, v_p(C(n, j)) : n - k < j <= r), and the valuations are carry
-    counts, so the exact binomials are never formed.  Primes whose running
-    minimum hits 0 stop contributing and are dropped.
-    """
-    n, k, m = params.n, params.k, params.m
-    orders = [m] * (n - k)
-    active = {p: e for p, e in factorize(m)}
-    value = m
+    active = _prime_powers_up_to(m, n)
+    # the part of m made of primes above n is gone from r = n - k + 1 on
+    value = math.prod(p**e for p, e in active.items())
     for r in range(n - k + 1, n + 1):
         for p in list(active):
             v = padic_valuation_binomial(n, r, p)
@@ -99,18 +85,9 @@ def torsion_profile_via_valuations(params: ManifoldParams) -> TorsionProfile:
                 else:
                     active[p] = v
         orders.append(value)
-    return TorsionProfile(orders=tuple(orders), height=_height(orders))
-
-
-def _height(orders: list[int]) -> int:
     # orders[n - k - 1] = m >= 2, so the maximum below exists.
-    return max(r for r, o in enumerate(orders, start=1) if o > 1)
-
-
-def order_of_power(params: ManifoldParams, r: int) -> int:
-    """Profile-backed accessor for the order of the r-th power."""
-    _check_power_index(params, r)
-    return torsion_profile(params).order(r)
+    height = max(r for r, o in enumerate(orders, start=1) if o > 1)
+    return TorsionProfile(orders=tuple(orders), height=height)
 
 
 def transgression_coefficient(params: ManifoldParams, j: int) -> int:

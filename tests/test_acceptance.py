@@ -31,7 +31,7 @@ from stiefelq.span import (
     span_upper_bound,
     stably_parallelizable_verdict,
 )
-from stiefelq.torsion import torsion_profile, torsion_profile_via_valuations
+from stiefelq.torsion import torsion_profile
 
 
 def _criterion(name):
@@ -53,7 +53,7 @@ def _criterion(name):
 
 @_criterion("torsion-oracle-equivalence")
 def test_fast_torsion_path_matches_bruteforce_gcd():
-    """The valuation-based profile equals a gcd fold over exact binomials on
+    """The carry-count profile equals a gcd fold over exact binomials on
     every point of the grid n <= 40, k < n, m <= 60, with all n orders and
     the height compared.  Budget: 60 s."""
     t0 = time.monotonic()
@@ -68,7 +68,7 @@ def test_fast_torsion_path_matches_bruteforce_gcd():
                     if r > cut:
                         g = math.gcd(g, comb[r])
                     expected.append(g)
-                profile = torsion_profile_via_valuations(validate(n, k, m))
+                profile = torsion_profile(validate(n, k, m))
                 assert profile.orders == tuple(expected), (n, k, m)
                 assert profile.height == max(
                     r for r, o in enumerate(expected, start=1) if o > 1
@@ -144,7 +144,7 @@ def test_char_classes_force_verdicts():
                     assert rep.parallelizable is TriState.NO
                 if (n, k, m) in vanishing:
                     seen.add((n, k, m))
-                    classes = char_class_report(params)
+                    classes = char_class_report(params, torsion_profile(params))
                     assert classes.all_pontrjagin_vanish
                     assert classes.all_sw_vanish
                     assert rep.stably_parallelizable is TriState.UNKNOWN

@@ -11,7 +11,6 @@ from stiefelq.arith import (
     binomial,
     binomial_mod,
     factorize,
-    gcd_with_binomials,
     is_prime,
     padic_valuation_binomial,
     radon_hurwitz,
@@ -109,42 +108,6 @@ class TestBinomialMod:
         for q in (1, 0, -3):
             with pytest.raises(ValueError):
                 binomial_mod(4, 2, q)
-
-
-class TestGcdWindow:
-    def test_examples(self):
-        assert gcd_with_binomials(6, 5, 2, 4) == 1  # gcd(6, 10, 5)
-        assert gcd_with_binomials(6, 5, 2, 3) == 2  # gcd(6, 10)
-        for m in (1, 2, 12):
-            assert gcd_with_binomials(m, 9, 4, 4) == m  # empty window
-
-    def test_shrinks_as_window_grows(self):
-        for n in range(2, 25):
-            for lo in range(n):
-                g_prev = None
-                for hi in range(lo, n + 1):
-                    g = gcd_with_binomials(720720, n, lo, hi)
-                    if g_prev is not None:
-                        assert g_prev % g == 0
-                    g_prev = g
-
-    def test_matches_direct_fold(self):
-        for n in range(2, 21):
-            for m in (2, 6, 9, 30):
-                for lo in range(n):
-                    for hi in range(lo, n + 1):
-                        expected = m
-                        for j in range(lo + 1, hi + 1):
-                            expected = math.gcd(expected, math.comb(n, j))
-                        assert gcd_with_binomials(m, n, lo, hi) == expected
-
-    def test_rejects_bad_windows(self):
-        with pytest.raises(ValueError):
-            gcd_with_binomials(6, 5, 2, 6)  # hi > n
-        with pytest.raises(ValueError):
-            gcd_with_binomials(6, 5, 4, 2)  # lo > hi
-        with pytest.raises(ValueError):
-            gcd_with_binomials(0, 5, 2, 3)  # m < 1
 
 
 class TestRadonHurwitz:

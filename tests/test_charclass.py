@@ -14,6 +14,11 @@ from stiefelq.modp import truncation_exponent
 from stiefelq.torsion import torsion_profile
 
 
+def _report(n, k, m):
+    params = validate(n, k, m)
+    return char_class_report(params, torsion_profile(params))
+
+
 class TestPontrjagin:
     def test_example_4_2_3(self):
         t = pontrjagin_class(validate(4, 2, 3), 1)
@@ -84,27 +89,38 @@ class TestReport:
     def test_all_vanishing_prime_power_family(self):
         # n, k powers of the same prime p with m = p: everything vanishes
         for n, k, m in [(4, 2, 2), (8, 2, 2), (8, 4, 2), (9, 3, 3)]:
-            rep = char_class_report(validate(n, k, m))
+            rep = _report(n, k, m)
             assert rep.all_pontrjagin_vanish
             assert rep.all_sw_vanish
 
     def test_nonvanishing_example(self):
-        rep = char_class_report(validate(4, 2, 3))
+        rep = _report(4, 2, 3)
         assert not rep.all_pontrjagin_vanish
         assert rep.all_sw_vanish  # odd m has no Stiefel-Whitney terms
 
     def test_report_ranges(self):
         for n in range(2, 11):
             for k in range(1, n):
-                rep = char_class_report(validate(n, k, 6))
+                rep = _report(n, k, 6)
                 assert [t.j for t in rep.pontrjagin] == list(range(1, n // 2 + 1))
                 assert rep.all_pontrjagin_vanish == all(t.is_zero for t in rep.pontrjagin)
                 assert rep.all_sw_vanish == (not any(t.present for t in rep.stiefel_whitney))
+
+    def test_raw_coefficients_match_comb(self):
+        # the running product against math.comb, and each report term against
+        # the standalone pontrjagin_class
+        for n, k, m in [(2, 1, 2), (7, 3, 12), (40, 20, 30), (301, 150, 2 * 3 * 5 * 7)]:
+            rep = _report(n, k, m)
+            assert len(rep.pontrjagin) == n // 2
+            for t in rep.pontrjagin:
+                assert t.raw_coefficient == math.comb(n * k, t.j)
+            for j in (1, n // 2):
+                assert rep.pontrjagin[j - 1] == pontrjagin_class(validate(n, k, m), j)
 
     def test_parallelizable_members_have_vanishing_classes(self):
         # k = n - 1 gives a parallelizable manifold; the closed forms must agree
         for n in range(2, 13):
             for m in range(2, 16):
-                rep = char_class_report(validate(n, n - 1, m))
+                rep = _report(n, n - 1, m)
                 assert rep.all_pontrjagin_vanish
                 assert rep.all_sw_vanish

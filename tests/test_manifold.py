@@ -21,6 +21,11 @@ class TestValidate:
             (1, 1, 2, "k-not-below-n"),
             (4, 2, 1, "m-too-small"),
             (4, 2, 0, "m-too-small"),
+            (4.5, 2, 2, "n-not-int"),
+            (4, True, 2, "k-not-int"),
+            (4, 2, 2.0, "m-not-int"),
+            ("4", 2, 2, "n-not-int"),
+            (4, 2, False, "m-not-int"),
         ],
     )
     def test_rejections_are_distinct(self, n, k, m, reason):

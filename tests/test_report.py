@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import json
 import logging
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stiefelq import charclass, report, span, torsion
 from stiefelq.cli import main
 from stiefelq.manifold import ParameterError, validate
 from stiefelq.report import (
@@ -69,6 +73,26 @@ class TestComputeReport:
             rep = compute_report(validate(n, k, 7))
             assert not any("extrapolated" in note for note in rep.notes)
 
+    def test_each_layer_runs_once(self, monkeypatch):
+        calls = {"torsion_profile": 0, "char_class_report": 0}
+        # wrap every module binding of both names, so any route is counted
+        for module in (torsion, charclass, span, report):
+            for name in calls:
+                fn = getattr(module, name, None)
+                if fn is None:
+                    continue
+
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        for n, k, m in [(4, 2, 2), (5, 4, 3), (6, 1, 7), (12, 5, 30)]:
+            for name in calls:
+                calls[name] = 0
+            compute_report(validate(n, k, m))
+            assert calls == {"torsion_profile": 1, "char_class_report": 1}, (n, k, m)
+
 
 class TestRender:
     def test_csv_row_golden(self):
@@ -129,6 +153,40 @@ class TestTable:
         spec1 = GridSpec(n_range=(3, 6), k_range=None, m_range=(2, 5))
         spec2 = GridSpec(n_range=(3, 6), k_range=None, m_range=(2, 5), jobs=3)
         assert render_table(spec1) == render_table(spec2)
+
+    def test_worker_count_is_bounded(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            # records the worker count and runs the rows here: no process starts
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr(report, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(report.os, "cpu_count", lambda: 4)
+        ten_rows = GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 3))
+        serial = render_table(ten_rows)
+        two_rows = GridSpec(n_range=(3, 3), k_range=None, m_range=(2, 2))
+        for spec, jobs, workers in [
+            (ten_rows, 10**9, 4),  # CPU count bounds
+            (ten_rows, 3, 3),  # jobs bounds
+            (two_rows, 10**9, 2),  # rows bound
+        ]:
+            started.clear()
+            table = render_table(replace(spec, jobs=jobs))
+            assert started == [workers]
+            if spec is ten_rows:
+                assert table == serial
+        monkeypatch.setattr(report.os, "cpu_count", lambda: None)
+        started.clear()
+        assert render_table(replace(ten_rows, jobs=10**9)) == serial
+        assert started == []  # one usable CPU: rows are computed in-process
 
     def test_json_rows_parse(self):
         spec = GridSpec(n_range=(3, 3), k_range=None, m_range=(2, 3), fmt="json")
@@ -197,6 +255,26 @@ class TestCli:
         assert main(["table", "--n", "3..3", "--m", "2..3"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_table_into_closed_pipe_exits_quietly(self, jobs):
+        # `stiefelq table ... | head -1`: the output (~440 kB) overflows the
+        # pipe, so the table is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stiefelq", "table", "--n", "3..30",
+             "--m", "2..30", "--jobs", jobs],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == CSV_HEADER.encode() + b"\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0
+        assert err == b""
 
     def test_bad_jobs_env_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("STIEFEL_JOBS", "many")

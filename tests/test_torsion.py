@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -10,20 +9,20 @@ from hypothesis import strategies as st
 from stiefelq.arith import factorize
 from stiefelq.manifold import validate
 from stiefelq.modp import truncation_exponent
-from stiefelq.torsion import (
-    order_of_power,
-    torsion_order,
-    torsion_profile,
-    torsion_profile_via_valuations,
-    transgression_coefficient,
-)
+from stiefelq.torsion import torsion_profile, transgression_coefficient
+
+Q13 = 1_000_000_000_039  # a 13-digit prime
 
 
-def _bruteforce_order(n: int, k: int, m: int, r: int) -> int:
-    # oracle: the gcd definition evaluated from scratch with math.comb
-    if r <= n - k:
-        return m
-    return reduce(math.gcd, (math.comb(n, j) for j in range(n - k + 1, r + 1)), m)
+def _gcd_fold_orders(n: int, k: int, m: int) -> tuple[int, ...]:
+    # oracle: the gcd definition folded along the window with math.comb
+    g = m
+    orders = []
+    for r in range(1, n + 1):
+        if r > n - k:
+            g = math.gcd(g, math.comb(n, r))
+        orders.append(g)
+    return tuple(orders)
 
 
 @st.composite
@@ -31,6 +30,27 @@ def _params(draw, max_n=24, max_m=80):
     n = draw(st.integers(2, max_n))
     k = draw(st.integers(1, n - 1))
     m = draw(st.integers(2, max_m))
+    return validate(n, k, m)
+
+
+@st.composite
+def _large_params(draw):
+    # high prime powers exercise the running minimum, a factor above n the
+    # drop at the first window step
+    n = draw(st.integers(2, 2000))
+    k = draw(st.integers(1, n - 1))
+    m = draw(
+        st.one_of(
+            st.integers(2, 10**15),
+            st.builds(
+                lambda a, b, c, q: 2**a * 3**b * 7**c * q,
+                st.integers(0, 12),
+                st.integers(0, 7),
+                st.integers(0, 4),
+                st.sampled_from([1, 1999, 2003, Q13]),
+            ).filter(lambda m: m >= 2),
+        )
+    )
     return validate(n, k, m)
 
 
@@ -54,13 +74,34 @@ class TestProfiles:
     @settings(max_examples=150)
     def test_all_routes_agree(self, params):
         prof = torsion_profile(params)
-        fast = torsion_profile_via_valuations(params)
-        assert prof == fast
+        expected = _gcd_fold_orders(params.n, params.k, params.m)
+        assert prof.orders == expected
         for r in range(1, params.n + 1):
-            expected = _bruteforce_order(params.n, params.k, params.m, r)
-            assert prof.order(r) == expected
-            assert torsion_order(params, r) == expected
-            assert order_of_power(params, r) == expected
+            assert prof.order(r) == expected[r - 1]
+        assert prof.height == max(r for r, o in enumerate(expected, start=1) if o > 1)
+
+    @given(_large_params())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_gcd_fold_up_to_n_2000(self, params):
+        prof = torsion_profile(params)
+        assert prof.orders == _gcd_fold_orders(params.n, params.k, params.m)
+
+    def test_prime_factors_above_n(self):
+        # every prime factor of `big` exceeds n, so it divides no C(n, j) and
+        # leaves the order at r = n - k + 1
+        for n, k, m, big in (
+            (100, 50, 2 * Q13, Q13),
+            (110, 55, 2 * Q13, Q13),
+            (90, 89, 2 * Q13, Q13),
+            (12, 6, Q13, Q13),
+            (5, 2, 7, 7),
+            (6, 3, 2 * 7 * 11, 77),
+            (10, 1, 3 * 13**2, 13**2),
+        ):
+            prof = torsion_profile(validate(n, k, m))
+            assert prof.orders == _gcd_fold_orders(n, k, m), (n, k, m)
+            assert prof.order(n - k) == m
+            assert math.gcd(prof.order(n - k + 1), big) == 1
 
     @given(_params())
     @settings(max_examples=150)
@@ -90,18 +131,17 @@ class TestProfiles:
 
 class TestSingleOrders:
     def test_examples(self):
-        assert torsion_order(validate(5, 3, 6), 2) == 6
-        assert torsion_order(validate(5, 3, 6), 3) == 2
-        assert torsion_order(validate(4, 2, 2), 4) == 1
-        assert order_of_power(validate(4, 2, 2), 3) == 2
-        assert order_of_power(validate(4, 2, 3), 2) == 3
+        assert torsion_profile(validate(5, 3, 6)).order(2) == 6
+        assert torsion_profile(validate(5, 3, 6)).order(3) == 2
+        assert torsion_profile(validate(4, 2, 2)).order(4) == 1
+        assert torsion_profile(validate(4, 2, 2)).order(3) == 2
+        assert torsion_profile(validate(4, 2, 3)).order(2) == 3
 
     def test_rejects_out_of_range(self):
-        params = validate(4, 2, 2)
-        for fn in (torsion_order, order_of_power):
-            for r in (0, -1, 5):
-                with pytest.raises(ValueError):
-                    fn(params, r)
+        prof = torsion_profile(validate(4, 2, 2))
+        for r in (0, -1, 5):
+            with pytest.raises(ValueError):
+                prof.order(r)
 
 
 class TestTransgression:
