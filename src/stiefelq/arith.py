@@ -1,5 +1,5 @@
 """Exact integer kernel: binomial coefficients, p-adic valuations of
-binomials, and Radon-Hurwitz numbers.
+binomials, primality and factorization, and Radon-Hurwitz numbers.
 
 Everything here is pure and exact (Python ints).  Nothing rounds, nothing
 overflows, and every function is deterministic in its arguments.
@@ -7,7 +7,10 @@ overflows, and every function is deterministic in its arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from stiefelq.manifold import ParameterError
 
 __all__ = [
     "binomial",
@@ -38,29 +41,114 @@ def binomial(n: int, j: int) -> int:
     return out
 
 
+# The first 13 primes: trial divisors and strong-test bases of ``is_prime``.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: the least composite that is a strong probable prime to every base
+# 2..41 (Sorenson & Webster, Math. Comp. 2017).  Below it the test is exact.
+# Twelve bases do not suffice: psi_12 = 399165290221 * 798330580441 passes
+# bases 2..37 and only base 41 exposes it.
+_PSI_13 = 3317044064679887385961981
+# Total Pollard-Brent iterations one ``factorize`` call may spend.
+_RHO_STEP_BUDGET = 1 << 23
+# Iterations folded into one product before each gcd in Pollard-Brent.
+_RHO_BATCH = 128
+# ``factorize`` trial-divides by 2 and the odd numbers below this bound.
+_TRIAL_BOUND = 1000
+
+
+def _too_large(q: int, why: str) -> ParameterError:
+    return ParameterError("too-large", f"{q} is too large: {why}")
+
+
 def is_prime(q: int) -> bool:
-    """Trial-division primality test; meant for the small moduli used here."""
+    """Exact primality: trial division by the primes 2..41, then the strong
+    probable-prime test to those 13 bases.
+
+    The answer is proven for q below psi_13 = 3317044064679887385961981 (about
+    3.3e24).  At or above it a witness still proves q composite; a q that no
+    base exposes raises ``ParameterError("too-large")`` instead of guessing.
+    """
     if q < 2:
         return False
-    if q < 4:
+    for p in _SMALL_PRIMES:
+        if q % p == 0:
+            return q == p
+    if q < 41 * 41:
         return True
-    if q % 2 == 0:
-        return False
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
+    d = q - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False  # a is a witness: q is composite
+    if q >= _PSI_13:
+        raise _too_large(
+            q, f"it passes the strong test to bases 2..41, which proves primality "
+            f"only below {_PSI_13}"
+        )
     return True
 
 
+def _pollard_brent(q: int, budget: int) -> tuple[int, int]:
+    """A proper factor of the odd composite q, and the iterations left.
+
+    Brent's cycle search on x -> x^2 + c mod q with the differences multiplied
+    together in batches, one gcd per batch.  Deterministic: c runs 1, 2, ...
+    until a constant splits q.  Raises ``too-large`` when the budget is spent.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            if 2 * r > budget:
+                raise _too_large(
+                    q, f"no factor found in {_RHO_STEP_BUDGET} Pollard-Brent steps"
+                )
+            budget -= 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % q
+            i = 0
+            while i < r and g == 1:
+                ys = y
+                batch = min(_RHO_BATCH, r - i)
+                for _ in range(batch):
+                    y = (y * y + c) % q
+                    prod = prod * (x - y) % q
+                g = math.gcd(prod, q)
+                i += batch
+            r *= 2
+        if g == q:
+            # the batch overshot: redo it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % q
+                g = math.gcd(x - ys, q)
+        if g != q:
+            return g, budget
+
+
 def factorize(q: int) -> list[tuple[int, int]]:
-    """Prime factorization [(p, exponent), ...] with p increasing."""
+    """Prime factorization [(p, exponent), ...] with p increasing.
+
+    Trial division takes out the factors below 1000; each cofactor left is
+    proven prime by ``is_prime`` or split by Pollard-Brent.  Raises
+    ``ParameterError("too-large")`` when a cofactor's primality cannot be
+    proven or the Pollard-Brent step budget runs out.
+    """
     if q < 1:
         raise ValueError("factorize expects a positive integer")
     out: list[tuple[int, int]] = []
     d = 2
-    while d * d <= q:
+    while d * d <= q and d < _TRIAL_BOUND:
         if q % d == 0:
             e = 0
             while q % d == 0:
@@ -68,9 +156,21 @@ def factorize(q: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((d, e))
         d += 1 if d == 2 else 2
-    if q > 1:
-        out.append((q, 1))
-    return out
+    if d * d > q:  # no factor up to sqrt(q) is left: q is 1 or a prime
+        if q > 1:
+            out.append((q, 1))
+        return out
+    large: dict[int, int] = {}
+    pending = [q]
+    budget = _RHO_STEP_BUDGET
+    while pending:
+        f = pending.pop()
+        if is_prime(f):
+            large[f] = large.get(f, 0) + 1
+        else:
+            g, budget = _pollard_brent(f, budget)
+            pending += (g, f // g)
+    return out + sorted(large.items())
 
 
 def padic_valuation_binomial(n: int, j: int, p: int) -> int:
@@ -83,6 +183,12 @@ def padic_valuation_binomial(n: int, j: int, p: int) -> int:
         raise ValueError(f"p must be prime, got {p}")
     if j < 0 or j > n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
+    return _carries(n, j, p)
+
+
+def _carries(n: int, j: int, p: int) -> int:
+    # v_p(C(n, j)) for a prime p and 0 <= j <= n, unchecked: callers that
+    # already know p is prime skip the test in ``padic_valuation_binomial``.
     carries = 0
     carry = 0
     a, b = j, n - j
@@ -99,14 +205,15 @@ def binomial_mod(n: int, j: int, q: int) -> int:
     """C(n, j) mod q.
 
     A prime modulus goes through the base-q digit product (no big
-    intermediates); a composite modulus reduces the exact integer.  Both paths
-    agree with ``binomial(n, j) % q`` by construction.
+    intermediates); a composite modulus, or one at or above psi_13 (where
+    primality is not proven), reduces the exact integer.  Both paths agree
+    with ``binomial(n, j) % q`` by construction.
     """
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
     if n < 0 or j < 0:
         raise ValueError("binomial_mod expects nonnegative arguments")
-    if is_prime(q):
+    if q < _PSI_13 and is_prime(q):
         return _digit_product_mod(n, j, q)
     return binomial(n, j) % q
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from stiefelq.arith import binomial, binomial_mod
+from stiefelq.arith import binomial
 from stiefelq.manifold import ManifoldParams
 from stiefelq.modp import truncation_exponent
 from stiefelq.torsion import TorsionProfile, torsion_profile
@@ -80,19 +80,19 @@ def stiefel_whitney_classes(params: ManifoldParams) -> tuple[StiefelWhitneyTerm,
     For odd m the degree-1 class is zero; for m = 0 (mod 4) its square is
     zero.  Either way the total class is 1 and the list is empty.  For
     m = 2 (mod 4) the term in degree 2j lives below the mod-2 truncation
-    degree and is present iff C(nk, j) is odd.
+    degree and is present iff C(nk, j) is odd, that is (Lucas) iff the binary
+    digits of j are a subset of those of nk.
     """
     m = params.m
     if m % 2 == 1 or m % 4 == 0:
         return ()
     nk = params.n * params.k
     bound = 2 * truncation_exponent(params.n, params.k, 2)
-    terms = []
-    for j in range(1, (bound + 1) // 2):  # exactly the range 2j < bound
-        terms.append(
-            StiefelWhitneyTerm(degree=2 * j, present=binomial_mod(nk, j, 2) == 1)
-        )
-    return tuple(terms)
+    # exactly the range 2j < bound
+    return tuple(
+        StiefelWhitneyTerm(degree=2 * j, present=j & ~nk == 0)
+        for j in range(1, (bound + 1) // 2)
+    )
 
 
 def char_class_report(params: ManifoldParams, profile: TorsionProfile) -> CharClassReport:

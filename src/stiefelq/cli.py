@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc} [{exc.reason}]", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from stiefelq.arith import binomial_mod, is_prime
+from stiefelq.arith import is_prime
 from stiefelq.manifold import ManifoldParams
 
 __all__ = [
@@ -112,13 +112,22 @@ class RingPresentation:
 
 
 def truncation_exponent(n: int, k: int, p: int) -> int:
-    """Least j in [n-k+1, n] with C(n, j) nonzero mod p."""
+    """Least j in [n-k+1, n] with C(n, j) nonzero mod p.
+
+    By Lucas, C(n, j) mod p is the product of the digit binomials C(n_i, j_i)
+    over the base-p digits, so it is nonzero exactly when every digit of j is
+    at most the matching digit of n.
+    """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     for j in range(n - k + 1, n + 1):
-        if binomial_mod(n, j, p) != 0:
+        a, b = n, j
+        while b and b % p <= a % p:
+            a //= p
+            b //= p
+        if not b:
             return j
     raise AssertionError("unreachable: C(n, n) = 1 is nonzero mod every prime")
 

@@ -61,6 +61,10 @@ CSV_HEADER = "n,k,m,dim,height,span_lower,span_upper,stably_parallelizable,paral
 
 log = logging.getLogger(__name__)
 
+# Largest number of rows a pool worker takes at once: the first row, and an
+# early stop, wait for at most one chunk per worker.
+_CHUNK_CAP = 64
+
 
 @dataclass(frozen=True)
 class CohomologyEntry:
@@ -83,11 +87,13 @@ class InvariantReport:
 
 def default_primes(m: int) -> tuple[int, ...]:
     """The primes dividing m, plus 2 (2 always sees the orientation double
-    cover and the Stiefel-Whitney side)."""
+    cover and the Stiefel-Whitney side).  Raises ``ParameterError`` with
+    reason ``too-large`` when ``factorize`` cannot factor m exactly."""
     return tuple(sorted({p for p, _ in factorize(m)} | {2}))
 
 
 def _check_primes(primes: Sequence[int]) -> tuple[int, ...]:
+    # is_prime raises ``too-large`` for a probable prime it cannot prove
     if not primes:
         raise ParameterError("primes-empty", "the prime list must be nonempty")
     for p in primes:
@@ -448,7 +454,7 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
         for task in tasks:
             yield _table_row(task)
         return
-    chunk = max(1, len(tasks) // (workers * 4))
+    chunk = max(1, min(_CHUNK_CAP, len(tasks) // (workers * 4)))
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         yield from pool.map(_table_row, tasks, chunksize=chunk)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from stiefelq.arith import binomial, padic_valuation_binomial
+from stiefelq.arith import _carries, binomial
 from stiefelq.manifold import ManifoldParams
 
 __all__ = [
@@ -77,7 +77,7 @@ def torsion_profile(params: ManifoldParams) -> TorsionProfile:
     value = math.prod(p**e for p, e in active.items())
     for r in range(n - k + 1, n + 1):
         for p in list(active):
-            v = padic_valuation_binomial(n, r, p)
+            v = _carries(n, r, p)  # every key of active is a prime
             if v < active[p]:
                 value //= p ** (active[p] - v)
                 if v == 0:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import math
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stiefelq import arith
 from stiefelq.arith import (
     RHDecomposition,
     binomial,
@@ -16,8 +19,30 @@ from stiefelq.arith import (
     radon_hurwitz,
     rh_decompose,
 )
+from stiefelq.manifold import ParameterError
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+# psi_13: least strong pseudoprime to all bases 2..41; psi_12 = 399165290221 *
+# 798330580441: least strong pseudoprime to all bases 2..37
+PSI_13 = 3317044064679887385961981
+PSI_12 = 318665857834031151167461
+# 13-digit primes, each checked by trial division
+LARGE_PRIMES = (1000000000039, 1000000000061, 2000000000123, 3141592653601,
+                5000000000053, 7777777777859, 9999999999971)
+
+
+def _trial_division_is_prime(q: int) -> bool:
+    # oracle: no shortcut beyond skipping even divisors
+    if q < 2:
+        return False
+    if q % 2 == 0:
+        return q == 2
+    f = 3
+    while f * f <= q:
+        if q % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def _exact_valuation(value: int, p: int) -> int:
@@ -104,6 +129,11 @@ class TestBinomialMod:
         expected = (math.comb(n, j) if j <= n else 0) % q
         assert binomial_mod(n, j, q) == expected
 
+    def test_unproven_modulus_reduces_exactly(self):
+        # above psi_13 primality is not proven: the exact path, no error
+        for q in (2**89 - 1, PSI_13):
+            assert binomial_mod(200, 100, q) == math.comb(200, 100) % q
+
     def test_rejects_small_modulus(self):
         for q in (1, 0, -3):
             with pytest.raises(ValueError):
@@ -161,3 +191,77 @@ class TestPrimesHelpers:
     def test_factorize_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+
+class TestPrimality:
+    def test_matches_trial_division_below_2e5(self):
+        for q in range(-2, 200_000):
+            assert is_prime(q) == _trial_division_is_prime(q), q
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # 3215031751: bases 2, 3, 5, 7; 3825123056546413051: bases 2..23;
+        # PSI_12: bases 2..37
+        for q in (3215031751, 3825123056546413051, PSI_12):
+            assert not is_prime(q)
+
+    def test_large_primes(self):
+        for q in LARGE_PRIMES + (2**31 - 1, 2**61 - 1):
+            assert is_prime(q)
+        for q in (2**61 + 1, LARGE_PRIMES[0] * LARGE_PRIMES[1], LARGE_PRIMES[-1] ** 2):
+            assert not is_prime(q)
+
+    def test_at_or_above_psi13_no_guess(self):
+        with pytest.raises(ParameterError) as exc:
+            is_prime(PSI_13)
+        assert exc.value.reason == "too-large"
+        with pytest.raises(ParameterError) as exc:
+            is_prime(2**89 - 1)  # prime, but beyond the proven range
+        assert exc.value.reason == "too-large"
+        # a witness still proves a large number composite
+        assert not is_prime(2**89 + 1)
+        assert not is_prime((2**89 - 1) * 3)
+
+
+# primes above the trial-division bound of ``factorize`` reach Pollard-Brent
+PRIMES_BELOW_2000 = [p for p in range(2, 2000) if _trial_division_is_prime(p)]
+
+
+@st.composite
+def _prime_multiset(draw):
+    small = draw(st.lists(st.sampled_from(PRIMES_BELOW_2000), max_size=4))
+    medium = draw(st.lists(st.sampled_from([999983, 1000003, 7368787, 15485863]), max_size=2))
+    large = draw(st.lists(st.sampled_from(LARGE_PRIMES), max_size=1))
+    return Counter(small + medium + large)
+
+
+class TestFactorize:
+    @given(_prime_multiset())
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_with_large_primes(self, primes):
+        q = math.prod(p**e for p, e in primes.items())
+        assert factorize(q) == sorted(primes.items())
+
+    def test_thirteen_digit_semiprime_in_five_seconds(self):
+        start = time.perf_counter()
+        assert factorize(1000000000039 * 1000000000061) == [(1000000000039, 1), (1000000000061, 1)]
+        assert time.perf_counter() - start < 5
+
+    def test_psi12(self):
+        assert factorize(PSI_12) == [(399165290221, 1), (798330580441, 1)]
+
+    def test_large_prime_powers(self):
+        assert factorize(2 * 1000003**2 * LARGE_PRIMES[0]) == [
+            (2, 1), (1000003, 2), (LARGE_PRIMES[0], 1)
+        ]
+        assert factorize(2**61 - 1) == [(2**61 - 1, 1)]
+
+    def test_unprovable_cofactor_is_too_large(self):
+        with pytest.raises(ParameterError) as exc:
+            factorize(6 * (2**89 - 1))
+        assert exc.value.reason == "too-large"
+
+    def test_step_budget_is_too_large(self, monkeypatch):
+        monkeypatch.setattr(arith, "_RHO_STEP_BUDGET", 64)
+        with pytest.raises(ParameterError) as exc:
+            factorize(999983 * 1000003)
+        assert exc.value.reason == "too-large"

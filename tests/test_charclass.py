@@ -84,6 +84,19 @@ class TestStiefelWhitney:
                         assert t.degree < bound
                         assert t.present == (math.comb(n * k, t.degree // 2) % 2 == 1)
 
+    def test_parity_matches_comb_on_wide_grid(self):
+        # the bit test (Lucas) against the exact binomial, m = 2 (mod 4);
+        # the truncation comes from the exact binomials too
+        for n in range(2, 70):
+            for k in range(1, n):
+                half = next(j for j in range(n - k + 1, n + 1) if math.comb(n, j) % 2)
+                expected = [
+                    (2 * j, math.comb(n * k, j) % 2 == 1) for j in range(1, half)
+                ]
+                for m in (2, 6, 30, 2 * 1000000000039):
+                    terms = stiefel_whitney_classes(validate(n, k, m))
+                    assert [(t.degree, t.present) for t in terms] == expected, (n, k, m)
+
 
 class TestReport:
     def test_all_vanishing_prime_power_family(self):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from stiefelq.manifold import validate
@@ -37,6 +39,16 @@ class TestTruncationExponent:
                 for p in PRIMES:
                     half = truncation_exponent(n, k, p)
                     assert n - k + 1 <= half <= n
+
+    def test_matches_exact_binomials(self):
+        # least j in the window with C(n, j) nonzero mod p, from math.comb
+        for n in range(2, 60):
+            for k in range(1, n):
+                for p in (2, 3, 5, 7, 11, 13, 1000000000039):
+                    expected = next(
+                        j for j in range(n - k + 1, n + 1) if math.comb(n, j) % p
+                    )
+                    assert truncation_exponent(n, k, p) == expected, (n, k, p)
 
     def test_rejects(self):
         with pytest.raises(ValueError):

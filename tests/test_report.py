@@ -4,6 +4,7 @@ import json
 import logging
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -156,13 +157,16 @@ class TestTable:
 
     def test_worker_count_is_bounded(self, monkeypatch):
         started = []
+        chunks = []
 
         class RecordingPool:
-            # records the worker count and runs the rows here: no process starts
+            # records the worker count and chunk size and runs the rows here:
+            # no process starts
             def __init__(self, max_workers):
                 started.append(max_workers)
 
             def map(self, fn, tasks, chunksize):
+                chunks.append(chunksize)
                 return map(fn, tasks)
 
             def shutdown(self, cancel_futures):
@@ -183,6 +187,14 @@ class TestTable:
             assert started == [workers]
             if spec is ten_rows:
                 assert table == serial
+        # chunks of rows / (4 x workers), at most 64 rows each
+        for m_hi, jobs, chunk in [(100, 4, 30), (400, 4, 64), (400, 2, 64)]:
+            chunks.clear()
+            render_table(GridSpec(n_range=(3, 4), k_range=None, m_range=(2, m_hi), jobs=jobs))
+            assert chunks == [chunk], (m_hi, jobs)
+        chunks.clear()
+        render_table(replace(ten_rows, jobs=4))
+        assert chunks == [1]
         monkeypatch.setattr(report.os, "cpu_count", lambda: None)
         started.clear()
         assert render_table(replace(ten_rows, jobs=10**9)) == serial
@@ -275,6 +287,36 @@ class TestCli:
             proc.wait()
         assert proc.returncode == 0
         assert err == b""
+
+    @pytest.mark.parametrize("extra", [[], ["--primes", "2305843009213693951"]])
+    def test_compute_with_prime_2_61_minus_1_is_quick(self, extra):
+        # trial division used to spend minutes on m = 2^61 - 1 (a prime)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "stiefelq", "compute", "--n", "4", "--k", "2",
+             "--m", "2305843009213693951", *extra],
+            capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert time.perf_counter() - start < 2
+        assert b"frame quotient n=4 k=2 m=2305843009213693951" in proc.stdout
+
+    def test_unprovable_prime_exits_2(self):
+        # 2^89 - 1 is prime but above psi_13, where the primality test is no proof
+        m = str(2**89 - 1)
+        for args in (["--m", m], ["--m", "2", "--primes", m]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "stiefelq", "compute", "--n", "4", "--k", "2", *args],
+                capture_output=True, timeout=60,
+            )
+            assert proc.returncode == 2
+            assert proc.stdout == b""
+            assert b"too-large" in proc.stderr
+            assert b"Traceback" not in proc.stderr
+
+    def test_span_never_factors_m(self, capsys):
+        assert main(["span", "--n", "4", "--k", "2", "--m", str(2**89 - 1)]) == 0
+        assert "span lower bound:" in capsys.readouterr().out
 
     def test_bad_jobs_env_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("STIEFEL_JOBS", "many")
