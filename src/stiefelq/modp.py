@@ -183,23 +183,30 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
     """Coefficients of the mod-p Poincare polynomial, indexed by degree.
 
     The list has length k(2n - k) + 1 exactly: the top class sits in the
-    dimension of the manifold.
+    dimension of the manifold.  ``pres`` is the presentation for this (n, k).
+
+    The product is formed in one integer (Kronecker substitution): the
+    coefficient of t^i sits in the i-th slot of w bytes, where w is the byte
+    length of ``total_dimension(pres, k)``.  Slot-width invariant: every
+    partial product has nonnegative coefficients summing to at most that
+    total, so no slot ever exceeds it and none carries into the next.  The
+    truncated series is one closed-form geometric sum, and each exterior
+    factor (1 + t^d) is one shift and add; ``int.to_bytes`` then cuts the
+    integer back into slots.
     """
-    dim = k * (2 * n - k)
-    coeffs = [0] * (dim + 1)
-    if pres.poly_generator is None:
-        coeffs[0] = 1
+    w = (total_dimension(pres, k).bit_length() + 7) // 8
+    bits = 8 * w
+    g = pres.poly_generator
+    if g is None:
+        packed = 1
     else:
-        g = pres.poly_generator
-        for i in range(g.truncation):
-            coeffs[g.degree * i] = 1
+        step = g.degree * bits
+        packed = ((1 << step * g.truncation) - 1) // ((1 << step) - 1)
     for deg in pres.exterior_degrees:
-        # multiply by (1 + t^deg); the snapshot keeps the update aliasing-free
-        tail = coeffs[: dim + 1 - deg]
-        for i, c in enumerate(tail):
-            if c:
-                coeffs[i + deg] += c
-    return coeffs
+        packed += packed << deg * bits
+    slots = k * (2 * n - k) + 1
+    raw = packed.to_bytes(slots * w, "little")
+    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
 
 
 def betti_mod_p(params: ManifoldParams, p: int, q: int) -> int:

@@ -370,11 +370,37 @@ def _text_dossier(report: InvariantReport) -> str:
     return "\n".join(lines)
 
 
+# In ``json.dumps(..., indent=2)`` a Poincare list has a fixed depth: its key
+# at 6 spaces, its items at 8, its closing bracket at 6.  No JSON string holds
+# a raw newline, so this key line occurs once per cohomology entry and
+# nowhere else, whatever the report's strings are.
+_POINCARE_KEY = '\n      "poincare": '
+_POINCARE_ITEM_SEP = ",\n" + " " * 8
+
+
+def _json_dossier(report: InvariantReport) -> str:
+    """``json.dumps(report_to_dict(report), indent=2)``, byte for byte, with
+    each Poincare list joined in one step instead of going through the
+    pure-Python indented encoder item by item."""
+    data = report_to_dict(report)
+    lists = []
+    for entry in data["cohomology"]:
+        coeffs = entry["poincare"]
+        entry["poincare"] = []
+        lists.append(
+            "[\n        " + _POINCARE_ITEM_SEP.join(map(str, coeffs)) + "\n      ]"
+            if coeffs
+            else "[]"
+        )
+    head, *tails = json.dumps(data, indent=2).split(_POINCARE_KEY + "[]")
+    return head + "".join(_POINCARE_KEY + c + t for c, t in zip(lists, tails))
+
+
 def render(report: InvariantReport, fmt: str) -> bytes:
     """Serialize a report: ``json`` (indented, fixed key order), ``csv_row``
     (one header-less line) or ``text`` (human-readable dossier)."""
     if fmt == "json":
-        return (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
+        return (_json_dossier(report) + "\n").encode()
     if fmt == "csv_row":
         return _csv_row(report).encode()
     if fmt == "text":

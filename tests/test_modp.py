@@ -3,11 +3,14 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelq.manifold import validate
 from stiefelq.modp import (
     CohomologyCase,
     PolyGenerator,
+    RingPresentation,
     SquareRule,
     betti_mod_p,
     classify,
@@ -19,11 +22,55 @@ from stiefelq.modp import (
 
 PRIMES = (2, 3, 5, 7)
 CASES = CohomologyCase
+# above every n used here, so C(n, j) is a unit mod Q and the truncation
+# exponent of (n, k, Q) is n - k + 1
+Q = 1000000000039
 
 
 def _coeffs(n, k, m, p):
     pres = presentation(validate(n, k, m), p)
     return pres, poincare_polynomial(pres, n, k)
+
+
+def _naive_poincare(pres: RingPresentation, n: int, k: int) -> list[int]:
+    """Reference expansion: the truncated series laid out in a list, then one
+    list pass per exterior factor (1 + t^d)."""
+    dim = k * (2 * n - k)
+    coeffs = [0] * (dim + 1)
+    if pres.poly_generator is None:
+        coeffs[0] = 1
+    else:
+        g = pres.poly_generator
+        for i in range(g.truncation):
+            coeffs[g.degree * i] = 1
+    for deg in pres.exterior_degrees:
+        # multiply by (1 + t^deg); the snapshot keeps the update aliasing-free
+        tail = coeffs[: dim + 1 - deg]
+        for i, c in enumerate(tail):
+            if c:
+                coeffs[i + deg] += c
+    return coeffs
+
+
+@st.composite
+def _presentations(draw):
+    """A presentation of each of the four cases, n up to 150."""
+    n = draw(st.integers(2, 150))
+    k = draw(st.integers(1, n - 1))
+    case = draw(st.sampled_from(CASES))
+    if case is CASES.COPRIME:
+        p = draw(st.sampled_from((2, 3, 5, 7, Q)))
+        m = draw(st.integers(2, 500).filter(lambda m: m % p))
+    elif case is CASES.ODD_DIVIDES:
+        p = draw(st.sampled_from((3, 5, 7, 11, 13, Q)))
+        m = p * draw(st.integers(1, 12))
+    elif case is CASES.TWO_MOD_FOUR:
+        p, m = 2, 2 * (2 * draw(st.integers(0, 50)) + 1)
+    else:
+        p, m = 2, 4 * draw(st.integers(1, 50))
+    pres = presentation(validate(n, k, m), p)
+    assert pres.case is case
+    return pres, n, k
 
 
 class TestTruncationExponent:
@@ -158,6 +205,37 @@ class TestPresentation:
 
 
 class TestPoincarePolynomial:
+    @given(_presentations())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_naive_expansion(self, drawn):
+        pres, n, k = drawn
+        assert poincare_polynomial(pres, n, k) == _naive_poincare(pres, n, k)
+
+    @pytest.mark.parametrize(
+        "n, k, m, p, total",
+        [
+            (18, 4, Q, Q, 15 * 2**4),  # slots of 1 byte
+            (8, 7, 3, 2, 2**7),
+            (19, 4, Q, Q, 2**8),  # 2 bytes
+            (9, 8, 3, 2, 2**8),
+            (15, 13, Q, Q, 3 * 2**13),  # its largest coefficient needs both bytes
+            (41, 11, Q, Q, 31 * 2**11),
+            (16, 15, 3, 2, 2**15),
+            (27, 12, Q, Q, 2**16),  # 3 bytes
+            (17, 16, 3, 2, 2**16),
+            (74, 60, Q, Q, 15 * 2**60),  # 8 bytes
+            (64, 63, 3, 2, 2**63),
+            (75, 60, Q, Q, 2**64),  # 9 bytes
+            (65, 64, 3, 2, 2**64),
+        ],
+    )
+    def test_slot_width_boundaries(self, n, k, m, p, total):
+        # the slot width is the byte length of total_dimension; these sit just
+        # below and at 2^8, 2^16 and 2^64, where it grows by one byte
+        pres, coeffs = _coeffs(n, k, m, p)
+        assert total_dimension(pres, k) == total == sum(coeffs)
+        assert coeffs == _naive_poincare(pres, n, k)
+
     def test_example_3_2_2(self):
         _, coeffs = _coeffs(3, 2, 2, 2)
         assert coeffs == [1, 1, 1, 1, 0, 1, 1, 1, 1]
