@@ -11,21 +11,17 @@ parallelizability verdicts.
 """
 
 from stiefelq.arith import (
-    RHDecomposition,
     binomial,
-    binomial_mod,
     factorize,
     is_prime,
     padic_valuation_binomial,
     radon_hurwitz,
-    rh_decompose,
 )
 from stiefelq.charclass import (
     CharClassReport,
     PontrjaginTerm,
     StiefelWhitneyTerm,
     char_class_report,
-    pontrjagin_class,
     stiefel_whitney_classes,
 )
 from stiefelq.manifold import (
@@ -40,7 +36,6 @@ from stiefelq.modp import (
     PolyGenerator,
     RingPresentation,
     SquareRule,
-    betti_mod_p,
     classify,
     poincare_polynomial,
     presentation,
@@ -64,18 +59,12 @@ from stiefelq.span import (
     SpanReport,
     TriState,
     lower_bound_from_external_span,
-    parallelizable_verdict,
     span_eq_stable_guaranteed,
     span_lower_bound,
     span_report,
     span_upper_bound,
-    stably_parallelizable_verdict,
 )
-from stiefelq.torsion import (
-    TorsionProfile,
-    torsion_profile,
-    transgression_coefficient,
-)
+from stiefelq.torsion import TorsionProfile, torsion_profile
 
 __version__ = "0.1.0"
 
@@ -91,7 +80,6 @@ __all__ = [
     "ParameterError",
     "PolyGenerator",
     "PontrjaginTerm",
-    "RHDecomposition",
     "RingPresentation",
     "SCHEMA_VERSION",
     "SpanReport",
@@ -100,9 +88,7 @@ __all__ = [
     "TorsionProfile",
     "TriState",
     "basic_invariants",
-    "betti_mod_p",
     "binomial",
-    "binomial_mod",
     "char_class_report",
     "classify",
     "compute_report",
@@ -112,22 +98,17 @@ __all__ = [
     "is_prime",
     "lower_bound_from_external_span",
     "padic_valuation_binomial",
-    "parallelizable_verdict",
     "poincare_polynomial",
-    "pontrjagin_class",
     "presentation",
     "radon_hurwitz",
     "render",
     "render_table",
     "report_from_json",
-    "rh_decompose",
     "span_eq_stable_guaranteed",
     "span_lower_bound",
     "span_report",
     "span_upper_bound",
-    "stably_parallelizable_verdict",
     "stiefel_whitney_classes",
     "torsion_profile",
-    "transgression_coefficient",
     "validate",
 ]

@@ -8,16 +8,12 @@ overflows, and every function is deterministic in its arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from stiefelq.manifold import ParameterError
 
 __all__ = [
     "binomial",
-    "binomial_mod",
     "padic_valuation_binomial",
-    "RHDecomposition",
-    "rh_decompose",
     "radon_hurwitz",
     "is_prime",
     "factorize",
@@ -201,67 +197,13 @@ def _carries(n: int, j: int, p: int) -> int:
     return carries
 
 
-def binomial_mod(n: int, j: int, q: int) -> int:
-    """C(n, j) mod q.
-
-    A prime modulus goes through the base-q digit product (no big
-    intermediates); a composite modulus, or one at or above psi_13 (where
-    primality is not proven), reduces the exact integer.  Both paths agree
-    with ``binomial(n, j) % q`` by construction.
-    """
-    if q < 2:
-        raise ValueError(f"modulus must be >= 2, got {q}")
-    if n < 0 or j < 0:
-        raise ValueError("binomial_mod expects nonnegative arguments")
-    if q < _PSI_13 and is_prime(q):
-        return _digit_product_mod(n, j, q)
-    return binomial(n, j) % q
-
-
-def _digit_product_mod(n: int, j: int, p: int) -> int:
-    # Product of digit binomials in base p.  A digit of j exceeding the digit
-    # of n kills the product, which also covers j > n.
-    out = 1
-    while j or n:
-        nd, jd = n % p, j % p
-        if jd > nd:
-            return 0
-        out = out * binomial(nd, jd) % p
-        n //= p
-        j //= p
-    return out
-
-
-@dataclass(frozen=True)
-class RHDecomposition:
-    """n = (2c + 1) * 2^(4a + b) with 0 <= b <= 3.
-
-    The unique split of the 2-adic valuation of n into quotient and remainder
-    mod 4, plus the odd part.
-    """
-
-    a: int
-    b: int
-    c: int
-
-    def reconstruct(self) -> int:
-        return (2 * self.c + 1) << (4 * self.a + self.b)
-
-
-def rh_decompose(n: int) -> RHDecomposition:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    e = (n & -n).bit_length() - 1
-    a, b = divmod(e, 4)
-    c = ((n >> e) - 1) // 2
-    return RHDecomposition(a=a, b=b, c=c)
-
-
 def radon_hurwitz(n: int) -> int:
     """The Radon-Hurwitz number 8a + 2^b for n = (2c + 1) * 2^(4a + b).
 
     radon_hurwitz(n) - 1 is the maximal number of linearly independent vector
     fields on the sphere S^(n-1).
     """
-    d = rh_decompose(n)
-    return 8 * d.a + 2**d.b
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    a, b = divmod((n & -n).bit_length() - 1, 4)  # 4a + b = v_2(n)
+    return 8 * a + 2**b

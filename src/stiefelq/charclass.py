@@ -12,16 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from stiefelq.arith import binomial
 from stiefelq.manifold import ManifoldParams
 from stiefelq.modp import truncation_exponent
-from stiefelq.torsion import TorsionProfile, torsion_profile
+from stiefelq.torsion import TorsionProfile
 
 __all__ = [
     "PontrjaginTerm",
     "StiefelWhitneyTerm",
     "CharClassReport",
-    "pontrjagin_class",
     "stiefel_whitney_classes",
     "char_class_report",
 ]
@@ -51,27 +49,6 @@ class CharClassReport:
     stiefel_whitney: tuple[StiefelWhitneyTerm, ...]
     all_pontrjagin_vanish: bool
     all_sw_vanish: bool
-
-
-def _pontrjagin_term(profile: TorsionProfile, j: int, raw: int) -> PontrjaginTerm:
-    # Powers of the degree-2 class beyond the n-th are zero, so for 2j > n the
-    # modulus is 1 and the term vanishes outright.
-    modulus = profile.orders[2 * j - 1] if 2 * j <= len(profile.orders) else 1
-    reduced = raw % modulus
-    return PontrjaginTerm(
-        j=j,
-        raw_coefficient=raw,
-        modulus=modulus,
-        reduced=reduced,
-        is_zero=(modulus == 1 or reduced == 0),
-    )
-
-
-def pontrjagin_class(params: ManifoldParams, j: int) -> PontrjaginTerm:
-    """The j-th Pontrjagin term, for any j >= 1."""
-    if j < 1:
-        raise ValueError(f"index j must be >= 1, got {j}")
-    return _pontrjagin_term(torsion_profile(params), j, binomial(params.n * params.k, j))
 
 
 def stiefel_whitney_classes(params: ManifoldParams) -> tuple[StiefelWhitneyTerm, ...]:
@@ -104,7 +81,13 @@ def char_class_report(params: ManifoldParams, profile: TorsionProfile) -> CharCl
     pont = []
     for j in range(1, params.n // 2 + 1):
         raw = raw * (nk - j + 1) // j  # C(nk, j) from C(nk, j - 1), exactly
-        pont.append(_pontrjagin_term(profile, j, raw))
+        modulus = profile.orders[2 * j - 1]  # 2j <= n: the order of y^(2j)
+        reduced = raw % modulus
+        pont.append(
+            PontrjaginTerm(
+                j=j, raw_coefficient=raw, modulus=modulus, reduced=reduced, is_zero=reduced == 0
+            )
+        )
     sw = stiefel_whitney_classes(params)
     return CharClassReport(
         pontrjagin=tuple(pont),

@@ -84,20 +84,16 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _resolve_jobs(cli_value: int | None) -> int:
+    # GridSpec rejects a count below 1
     if cli_value is not None:
-        jobs = cli_value
-    else:
-        env = os.environ.get("STIEFEL_JOBS", "")
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ParameterError("jobs-not-int", f"STIEFEL_JOBS must be an integer, got {env!r}")
-        else:
-            jobs = 1
-    if jobs < 1:
-        raise ParameterError("jobs-too-small", f"jobs must be >= 1, got {jobs}")
-    return jobs
+        return cli_value
+    env = os.environ.get("STIEFEL_JOBS", "")
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ParameterError("jobs-not-int", f"STIEFEL_JOBS must be an integer, got {env!r}")
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

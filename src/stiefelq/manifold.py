@@ -40,7 +40,7 @@ class ManifoldParams:
 
     def __post_init__(self) -> None:
         # Exact type test: it turns away bool (True is no frame count) and
-        # costs little, since tables validate every grid point up front.
+        # costs little, since tables validate every grid point.
         if not type(self.n) is type(self.k) is type(self.m) is int:
             name = next(x for x in "nkm" if type(getattr(self, x)) is not int)
             value = getattr(self, name)

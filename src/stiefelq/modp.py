@@ -46,7 +46,6 @@ __all__ = [
     "classify",
     "presentation",
     "poincare_polynomial",
-    "betti_mod_p",
     "total_dimension",
 ]
 
@@ -207,15 +206,6 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
     slots = k * (2 * n - k) + 1
     raw = packed.to_bytes(slots * w, "little")
     return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
-
-
-def betti_mod_p(params: ManifoldParams, p: int, q: int) -> int:
-    """dim of the degree-q mod-p cohomology; 0 above the dimension."""
-    if q < 0:
-        raise ValueError(f"degree must be >= 0, got {q}")
-    pres = presentation(params, p)
-    coeffs = poincare_polynomial(pres, params.n, params.k)
-    return coeffs[q] if q < len(coeffs) else 0
 
 
 def total_dimension(pres: RingPresentation, k: int) -> int:

@@ -438,8 +438,7 @@ class GridSpec:
             raise ParameterError("jobs-too-small", f"jobs must be >= 1, got {self.jobs}")
 
 
-def _grid_points(spec: GridSpec) -> list[tuple[int, int, int]]:
-    points = []
+def _grid_points(spec: GridSpec) -> Iterator[ManifoldParams]:
     for n in range(spec.n_range[0], spec.n_range[1] + 1):
         ks: Iterable[int]
         if spec.k_range is None:
@@ -449,17 +448,16 @@ def _grid_points(spec: GridSpec) -> list[tuple[int, int, int]]:
         for k in ks:
             for m in range(spec.m_range[0], spec.m_range[1] + 1):
                 try:
-                    validate(n, k, m)
+                    params = validate(n, k, m)
                 except ParameterError as exc:
                     log.warning("skipping grid point (n=%d, k=%d, m=%d): %s", n, k, m, exc)
                     continue
-                points.append((n, k, m))
-    return points
+                yield params
 
 
-def _table_row(task: tuple[tuple[int, int, int], tuple[int, ...] | None, str]) -> bytes:
-    (n, k, m), primes, fmt = task
-    report = compute_report(validate(n, k, m), primes)
+def _table_row(task: tuple[ManifoldParams, tuple[int, ...] | None, str]) -> bytes:
+    params, primes, fmt = task
+    report = compute_report(params, primes)
     if fmt == "csv":
         return render(report, "csv_row")
     # one compact JSON object per row
@@ -470,15 +468,17 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
     """Yield rendered rows (no trailing newlines) in lexicographic (n, k, m)
     order; CSV starts with the header row.  The output is byte-identical for
     any ``jobs`` value: workers only compute, ordering is fixed up front.  At
-    most min(jobs, CPU count, rows) worker processes are started."""
-    points = _grid_points(spec)
+    most min(jobs, CPU count, rows) worker processes are started; with fewer
+    than two, rows are computed in-process as the grid is walked."""
     if spec.fmt == "csv":
         yield CSV_HEADER.encode()
-    tasks = [(pt, spec.primes, spec.fmt) for pt in points]
-    workers = min(spec.jobs, os.cpu_count() or 1, len(tasks))
+    tasks = ((params, spec.primes, spec.fmt) for params in _grid_points(spec))
+    workers = min(spec.jobs, os.cpu_count() or 1)
+    if workers > 1:
+        tasks = list(tasks)  # the pool sizes its workers and chunks by the row count
+        workers = min(workers, len(tasks))
     if workers < 2:
-        for task in tasks:
-            yield _table_row(task)
+        yield from map(_table_row, tasks)
         return
     chunk = max(1, min(_CHUNK_CAP, len(tasks) // (workers * 4)))
     pool = ProcessPoolExecutor(max_workers=workers)

@@ -32,8 +32,6 @@ __all__ = [
     "span_lower_bound",
     "span_upper_bound",
     "span_eq_stable_guaranteed",
-    "stably_parallelizable_verdict",
-    "parallelizable_verdict",
     "lower_bound_from_external_span",
     "span_report",
 ]
@@ -111,32 +109,51 @@ def span_lower_bound(params: ManifoldParams) -> int:
     return _lower_bound_chain(params.n, params.k)[0]
 
 
+def _upper_bound_rule(params: ManifoldParams) -> tuple[int, str]:
+    """The upper bound with the rule that gives it."""
+    if params.k == 1:
+        return (
+            radon_hurwitz(2 * params.n) - 1,
+            "Radon-Hurwitz sphere bound rho(2n) - 1 passed down to the k = 1 quotient",
+        )
+    return params.dimension, "dimension bound (none sharper implemented)"
+
+
 def span_upper_bound(params: ManifoldParams) -> int:
     """For k = 1 the quotient of the sphere inherits the Radon-Hurwitz bound
     rho(2n) - 1; otherwise only the dimension bound is available."""
-    if params.k == 1:
-        return radon_hurwitz(2 * params.n) - 1
-    return params.dimension
+    return _upper_bound_rule(params)[0]
+
+
+def _equality_rule(params: ManifoldParams) -> tuple[bool, str]:
+    """Whether span = stable span is guaranteed, with its provenance line."""
+    n, k = params.n, params.k
+    if k == 1:
+        return False, "span = stable span: k = 1 is not covered by the equality criteria"
+    if k % 2 == 0:
+        return True, "span = stable span guaranteed: k even"
+    if n % 2 == 1:
+        return True, "span = stable span guaranteed: n odd"
+    if n % 4 == 2:
+        return True, "span = stable span guaranteed: n = 2 (mod 4)"
+    return False, (
+        "span = stable span not guaranteed (no criterion applies; "
+        "equality is not ruled out)"
+    )
 
 
 def span_eq_stable_guaranteed(params: ManifoldParams) -> bool:
     """True when an implemented criterion forces span = stable span: k even,
     n odd, or n = 2 (mod 4), all for k >= 2.  k = 1 is not covered and
     returns False (which asserts nothing)."""
-    if params.k == 1:
-        return False
-    return params.k % 2 == 0 or params.n % 2 == 1 or params.n % 4 == 2
+    return _equality_rule(params)[0]
 
 
-def _verdicts(
-    params: ManifoldParams, classes: CharClassReport | None = None
-) -> tuple[TriState, TriState, str]:
-    """(stably_parallelizable, parallelizable, provenance line); the char
-    classes are built here when the caller has none."""
+def _verdicts(params: ManifoldParams, classes: CharClassReport) -> tuple[TriState, TriState, str]:
+    """(stably_parallelizable, parallelizable, provenance line), read off the
+    char classes of ``params``."""
     if params.k == params.n - 1:
         return TriState.YES, TriState.YES, f"verdicts YES: {_LIE_REASON}"
-    if classes is None:
-        classes = char_class_report(params, torsion_profile(params))
     for t in classes.pontrjagin:
         if not t.is_zero:
             return (
@@ -158,14 +175,6 @@ def _verdicts(
         "verdicts UNKNOWN: every implemented obstruction vanishes and no "
         "positive criterion applies",
     )
-
-
-def stably_parallelizable_verdict(params: ManifoldParams) -> TriState:
-    return _verdicts(params)[0]
-
-
-def parallelizable_verdict(params: ManifoldParams) -> TriState:
-    return _verdicts(params)[1]
 
 
 def lower_bound_from_external_span(params: ManifoldParams, external_span: int) -> int:
@@ -211,26 +220,11 @@ def span_report(
     lower, why = _lower_bound_chain(n, k)
     prov = [f"span lower bound {lower}: {why}"]
 
-    upper = span_upper_bound(params)
-    if k == 1:
-        prov.append(
-            f"span upper bound {upper}: Radon-Hurwitz sphere bound rho(2n) - 1 "
-            "passed down to the k = 1 quotient"
-        )
-    else:
-        prov.append(f"span upper bound {upper}: dimension bound (none sharper implemented)")
+    upper, why = _upper_bound_rule(params)
+    prov.append(f"span upper bound {upper}: {why}")
 
-    eq = span_eq_stable_guaranteed(params)
-    if k == 1:
-        prov.append("span = stable span: k = 1 is not covered by the equality criteria")
-    elif eq:
-        which = "k even" if k % 2 == 0 else ("n odd" if n % 2 == 1 else "n = 2 (mod 4)")
-        prov.append(f"span = stable span guaranteed: {which}")
-    else:
-        prov.append(
-            "span = stable span not guaranteed (no criterion applies; "
-            "equality is not ruled out)"
-        )
+    eq, why = _equality_rule(params)
+    prov.append(why)
 
     stable_lower = lower
     if external_span is not None:
@@ -254,6 +248,8 @@ def span_report(
                 f"(needs more than k^2 = {k * k} over {stable_lower})"
             )
 
+    if char_classes is None:
+        char_classes = char_class_report(params, torsion_profile(params))
     stably, plain, verdict_why = _verdicts(params, char_classes)
     prov.append(verdict_why)
     return SpanReport(

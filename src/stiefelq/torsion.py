@@ -28,13 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from stiefelq.arith import _carries, binomial
+from stiefelq.arith import _carries
 from stiefelq.manifold import ManifoldParams
 
 __all__ = [
     "TorsionProfile",
     "torsion_profile",
-    "transgression_coefficient",
 ]
 
 
@@ -88,11 +87,3 @@ def torsion_profile(params: ManifoldParams) -> TorsionProfile:
     # orders[n - k - 1] = m >= 2, so the maximum below exists.
     height = max(r for r, o in enumerate(orders, start=1) if o > 1)
     return TorsionProfile(orders=tuple(orders), height=height)
-
-
-def transgression_coefficient(params: ManifoldParams, j: int) -> int:
-    """C(n, k - j): the multiple of the (n - k + j)-th power of the degree-2
-    class hit by the transgression of the j-th odd generator, 1 <= j <= k."""
-    if not 1 <= j <= params.k:
-        raise ValueError(f"generator index j must lie in [1, {params.k}], got {j}")
-    return binomial(params.n, params.k - j)

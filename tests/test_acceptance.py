@@ -16,11 +16,7 @@ import time
 from collections import defaultdict
 
 from stiefelq.arith import radon_hurwitz
-from stiefelq.charclass import (
-    char_class_report,
-    pontrjagin_class,
-    stiefel_whitney_classes,
-)
+from stiefelq.charclass import char_class_report, stiefel_whitney_classes
 from stiefelq.manifold import validate
 from stiefelq.modp import CohomologyCase, poincare_polynomial, presentation, total_dimension
 from stiefelq.report import GridSpec, compute_report, render, render_table, report_from_json
@@ -29,7 +25,6 @@ from stiefelq.span import (
     span_lower_bound,
     span_report,
     span_upper_bound,
-    stably_parallelizable_verdict,
 )
 from stiefelq.torsion import torsion_profile
 
@@ -151,14 +146,15 @@ def test_char_classes_force_verdicts():
                     assert rep.parallelizable is TriState.UNKNOWN
     assert seen == vanishing
 
-    term = pontrjagin_class(validate(4, 2, 3), 1)
+    params = validate(4, 2, 3)
+    term = char_class_report(params, torsion_profile(params)).pontrjagin[0]
     assert (term.raw_coefficient, term.modulus, term.reduced) == (8, 3, 2)
     assert not term.is_zero
-    assert stably_parallelizable_verdict(validate(4, 2, 3)) is TriState.NO
+    assert span_report(params).stably_parallelizable is TriState.NO
 
     present = {t.degree for t in stiefel_whitney_classes(validate(5, 2, 2)) if t.present}
     assert 4 in present
-    assert stably_parallelizable_verdict(validate(5, 2, 2)) is TriState.NO
+    assert span_report(validate(5, 2, 2)).stably_parallelizable is TriState.NO
 
 
 @_criterion("span-bound-suite")

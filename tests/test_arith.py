@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 
 from stiefelq import arith
 from stiefelq.arith import (
-    RHDecomposition,
     binomial,
-    binomial_mod,
     factorize,
     is_prime,
     padic_valuation_binomial,
     radon_hurwitz,
-    rh_decompose,
 )
 from stiefelq.manifold import ParameterError
 
@@ -53,6 +50,15 @@ def _exact_valuation(value: int, p: int) -> int:
         value //= p
         v += 1
     return v
+
+
+def _two_adic_split(n: int) -> tuple[int, int, int]:
+    # oracle: (a, b, c) with n = (2c + 1) * 2^(4a + b), 0 <= b <= 3, by halving
+    e = 0
+    while n % 2 == 0:
+        n //= 2
+        e += 1
+    return e // 4, e % 4, (n - 1) // 2
 
 
 class TestBinomial:
@@ -109,37 +115,6 @@ class TestValuation:
         )
 
 
-class TestBinomialMod:
-    def test_examples(self):
-        assert binomial_mod(5, 2, 3) == 1  # C(5,2) = 10
-        assert binomial_mod(4, 3, 2) == 0
-        for n, q in ((0, 2), (6, 5), (9, 12)):
-            assert binomial_mod(n, n, q) == 1
-
-    def test_digit_path_matches_exact_reduction(self):
-        # prime moduli take the digit-product path; compare to the exact value
-        for n in range(41):
-            for j in range(n + 2):
-                b = math.comb(n, j) if j <= n else 0
-                for p in SMALL_PRIMES:
-                    assert binomial_mod(n, j, p) == b % p
-
-    @given(st.integers(0, 400), st.integers(0, 420), st.integers(2, 100))
-    def test_matches_math_comb(self, n, j, q):
-        expected = (math.comb(n, j) if j <= n else 0) % q
-        assert binomial_mod(n, j, q) == expected
-
-    def test_unproven_modulus_reduces_exactly(self):
-        # above psi_13 primality is not proven: the exact path, no error
-        for q in (2**89 - 1, PSI_13):
-            assert binomial_mod(200, 100, q) == math.comb(200, 100) % q
-
-    def test_rejects_small_modulus(self):
-        for q in (1, 0, -3):
-            with pytest.raises(ValueError):
-                binomial_mod(4, 2, q)
-
-
 class TestRadonHurwitz:
     def test_values(self):
         assert radon_hurwitz(1) == 1
@@ -157,18 +132,22 @@ class TestRadonHurwitz:
     def test_rejects_nonpositive(self):
         for n in (0, -4):
             with pytest.raises(ValueError):
-                rh_decompose(n)
+                radon_hurwitz(n)
 
     @given(st.integers(1, 10**9))
     def test_decomposition_roundtrip(self, n):
-        d = rh_decompose(n)
-        assert 0 <= d.b <= 3
-        assert d.a >= 0 and d.c >= 0
-        assert d.reconstruct() == n
+        # the split n = (2c + 1) * 2^(4a + b) rebuilds n, and the library's
+        # number is 8a + 2^b for it
+        a, b, c = _two_adic_split(n)
+        assert 0 <= b <= 3
+        assert a >= 0 and c >= 0
+        assert (2 * c + 1) << (4 * a + b) == n
+        assert radon_hurwitz(n) == 8 * a + 2**b
 
     def test_decomposition_fields(self):
-        assert rh_decompose(16) == RHDecomposition(a=1, b=0, c=0)
-        assert rh_decompose(24) == RHDecomposition(a=0, b=3, c=1)
+        assert _two_adic_split(16) == (1, 0, 0)
+        assert _two_adic_split(24) == (0, 3, 1)
+        assert (radon_hurwitz(16), radon_hurwitz(24)) == (9, 8)
 
 
 class TestPrimesHelpers:

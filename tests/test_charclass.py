@@ -2,13 +2,7 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
-from stiefelq.charclass import (
-    char_class_report,
-    pontrjagin_class,
-    stiefel_whitney_classes,
-)
+from stiefelq.charclass import char_class_report, stiefel_whitney_classes
 from stiefelq.manifold import validate
 from stiefelq.modp import truncation_exponent
 from stiefelq.torsion import torsion_profile
@@ -21,34 +15,25 @@ def _report(n, k, m):
 
 class TestPontrjagin:
     def test_example_4_2_3(self):
-        t = pontrjagin_class(validate(4, 2, 3), 1)
+        t = _report(4, 2, 3).pontrjagin[0]
         assert t.raw_coefficient == 8
         assert t.modulus == 3
         assert t.reduced == 2
         assert not t.is_zero
 
     def test_example_4_2_2(self):
-        t = pontrjagin_class(validate(4, 2, 2), 1)
+        t = _report(4, 2, 2).pontrjagin[0]
         assert t.raw_coefficient == 8
         assert t.modulus == 2
         assert t.is_zero
-
-    def test_beyond_top_power_is_zero(self):
-        t = pontrjagin_class(validate(4, 2, 3), 3)  # 2j = 6 > n = 4
-        assert t.modulus == 1
-        assert t.is_zero
-        assert t.raw_coefficient == math.comb(8, 3)
-
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            pontrjagin_class(validate(4, 2, 3), 0)
 
     def test_zero_iff_order_divides_coefficient(self):
         for n in range(2, 13):
             for k in range(1, n):
                 prof = torsion_profile(validate(n, k, 12))
+                terms = _report(n, k, 12).pontrjagin
                 for j in range(1, n // 2 + 1):
-                    t = pontrjagin_class(validate(n, k, 12), j)
+                    t = terms[j - 1]
                     assert t.modulus == prof.order(2 * j)
                     assert t.is_zero == (math.comb(n * k, j) % t.modulus == 0)
                     assert t.reduced == t.raw_coefficient % t.modulus
@@ -120,15 +105,17 @@ class TestReport:
                 assert rep.all_sw_vanish == (not any(t.present for t in rep.stiefel_whitney))
 
     def test_raw_coefficients_match_comb(self):
-        # the running product against math.comb, and each report term against
-        # the standalone pontrjagin_class
+        # the running product against math.comb, and each modulus against the
+        # order of the matching power in the torsion profile
         for n, k, m in [(2, 1, 2), (7, 3, 12), (40, 20, 30), (301, 150, 2 * 3 * 5 * 7)]:
             rep = _report(n, k, m)
+            prof = torsion_profile(validate(n, k, m))
             assert len(rep.pontrjagin) == n // 2
             for t in rep.pontrjagin:
                 assert t.raw_coefficient == math.comb(n * k, t.j)
-            for j in (1, n // 2):
-                assert rep.pontrjagin[j - 1] == pontrjagin_class(validate(n, k, m), j)
+                assert t.modulus == prof.order(2 * t.j)
+                assert t.reduced == t.raw_coefficient % t.modulus
+                assert t.is_zero == (t.reduced == 0)
 
     def test_parallelizable_members_have_vanishing_classes(self):
         # k = n - 1 gives a parallelizable manifold; the closed forms must agree

@@ -12,7 +12,6 @@ from stiefelq.modp import (
     PolyGenerator,
     RingPresentation,
     SquareRule,
-    betti_mod_p,
     classify,
     poincare_polynomial,
     presentation,
@@ -245,14 +244,11 @@ class TestPoincarePolynomial:
         assert coeffs == [1, 0, 0, 1, 0, 1, 0, 0, 1]
 
     def test_betti_examples(self):
-        params = validate(3, 2, 2)
-        assert betti_mod_p(params, 2, 0) == 1
-        assert betti_mod_p(params, 2, 4) == 0
-        assert betti_mod_p(params, 2, 8) == 1
-        assert betti_mod_p(params, 2, 9) == 0
-        assert betti_mod_p(params, 2, 100) == 0
-        with pytest.raises(ValueError):
-            betti_mod_p(params, 2, -1)
+        _, coeffs = _coeffs(3, 2, 2, 2)
+        assert coeffs[0] == 1
+        assert coeffs[4] == 0
+        assert coeffs[8] == 1
+        assert len(coeffs) == 9  # nothing above the dimension 8
 
     def test_total_dimension_examples(self):
         pres, coeffs = _coeffs(3, 2, 2, 2)

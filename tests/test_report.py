@@ -90,10 +90,12 @@ class TestComputeReport:
 
                 monkeypatch.setattr(module, name, counted)
         for n, k, m in [(4, 2, 2), (5, 4, 3), (6, 1, 7), (12, 5, 30)]:
-            for name in calls:
-                calls[name] = 0
-            compute_report(validate(n, k, m))
-            assert calls == {"torsion_profile": 1, "char_class_report": 1}, (n, k, m)
+            # span_report alone builds the layers it reads, once each
+            for run in (compute_report, span.span_report):
+                for name in calls:
+                    calls[name] = 0
+                run(validate(n, k, m))
+                assert calls == {"torsion_profile": 1, "char_class_report": 1}, (run, n, k, m)
 
 
 class TestRender:
@@ -189,6 +191,23 @@ class TestTable:
             rows = list(generate_table(spec))
         assert len(rows) == 1 + 5  # (3,3,2) is invalid and dropped
         assert any("skipping grid point" in rec.getMessage() for rec in caplog.records)
+
+    def test_serial_rows_stream_from_the_grid(self, monkeypatch):
+        # each grid point is validated once, as it is reached: the first row
+        # of a 352k-point serial table needs one call, not one per point
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(report, "validate", counted)
+        spec = GridSpec(n_range=(3, 60), k_range=None, m_range=(2, 200))
+        rows = generate_table(spec)
+        assert next(rows) == CSV_HEADER.encode()
+        assert next(rows).startswith(b"3,1,2,")
+        assert len(calls) <= 3
+        rows.close()
 
     def test_parallel_output_identical(self):
         spec1 = GridSpec(n_range=(3, 6), k_range=None, m_range=(2, 5))
@@ -357,6 +376,19 @@ class TestCli:
     def test_span_never_factors_m(self, capsys):
         assert main(["span", "--n", "4", "--k", "2", "--m", str(2**89 - 1)]) == 0
         assert "span lower bound:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_zero_jobs_exit_2(self, capsys, monkeypatch, how):
+        argv = ["table", "--n", "3..3", "--m", "2..2"]
+        if how == "flag":
+            argv += ["--jobs", "0"]
+        else:
+            monkeypatch.setenv("STIEFEL_JOBS", "0")
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "[jobs-too-small]" in err
+        assert "Traceback" not in err
 
     def test_bad_jobs_env_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("STIEFEL_JOBS", "many")

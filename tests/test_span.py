@@ -6,12 +6,10 @@ from stiefelq.manifold import ParameterError, validate
 from stiefelq.span import (
     TriState,
     lower_bound_from_external_span,
-    parallelizable_verdict,
     span_eq_stable_guaranteed,
     span_lower_bound,
     span_report,
     span_upper_bound,
-    stably_parallelizable_verdict,
 )
 
 
@@ -75,27 +73,30 @@ class TestEqualityCriteria:
 
 class TestVerdicts:
     def test_examples(self):
-        assert stably_parallelizable_verdict(validate(4, 2, 3)) is TriState.NO
-        assert parallelizable_verdict(validate(4, 2, 3)) is TriState.NO
-        assert stably_parallelizable_verdict(validate(4, 3, 9)) is TriState.YES
-        assert parallelizable_verdict(validate(4, 3, 9)) is TriState.YES
-        assert stably_parallelizable_verdict(validate(4, 2, 2)) is TriState.UNKNOWN
+        rep = span_report(validate(4, 2, 3))
+        assert rep.stably_parallelizable is TriState.NO
+        assert rep.parallelizable is TriState.NO
+        rep = span_report(validate(4, 3, 9))
+        assert rep.stably_parallelizable is TriState.YES
+        assert rep.parallelizable is TriState.YES
+        assert span_report(validate(4, 2, 2)).stably_parallelizable is TriState.UNKNOWN
         # nonzero w4 forces NO even though all Pontrjagin terms vanish
-        assert stably_parallelizable_verdict(validate(5, 2, 2)) is TriState.NO
+        assert span_report(validate(5, 2, 2)).stably_parallelizable is TriState.NO
 
     def test_ordering_invariant(self):
         for n in range(2, 15):
             for k in range(1, n):
                 for m in (2, 3, 4, 6):
-                    params = validate(n, k, m)
-                    assert parallelizable_verdict(params) <= stably_parallelizable_verdict(params)
+                    rep = span_report(validate(n, k, m))
+                    assert rep.parallelizable <= rep.stably_parallelizable
 
     def test_m_not_dividing_nk_forces_no(self):
         for n in range(4, 15):
             for k in range(2, n - 1):
                 for m in range(2, 16):
                     if (n * k) % m != 0:
-                        assert stably_parallelizable_verdict(validate(n, k, m)) is TriState.NO
+                        rep = span_report(validate(n, k, m))
+                        assert rep.stably_parallelizable is TriState.NO
 
 
 class TestExternalSpan:

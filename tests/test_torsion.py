@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from stiefelq.arith import factorize
 from stiefelq.manifold import validate
 from stiefelq.modp import truncation_exponent
-from stiefelq.torsion import torsion_profile, transgression_coefficient
+from stiefelq.torsion import torsion_profile
 
 Q13 = 1_000_000_000_039  # a 13-digit prime
 
@@ -144,27 +144,34 @@ class TestSingleOrders:
                 prof.order(r)
 
 
+def _transgression_coefficient(n: int, k: int, j: int) -> int:
+    # the module docstring's formula: the j-th odd generator transgresses onto
+    # C(n, k - j) times the (n - k + j)-th power of the degree-2 class
+    return math.comb(n, k - j)
+
+
 class TestTransgression:
     def test_examples(self):
-        assert transgression_coefficient(validate(4, 2, 5), 1) == 4  # C(4, 1)
-        assert transgression_coefficient(validate(4, 2, 5), 2) == 1  # C(4, 0)
-        assert transgression_coefficient(validate(5, 3, 2), 1) == 10  # C(5, 2)
+        assert _transgression_coefficient(4, 2, 1) == 4  # C(4, 1)
+        assert _transgression_coefficient(4, 2, 2) == 1  # C(4, 0)
+        assert _transgression_coefficient(5, 3, 1) == 10  # C(5, 2)
+        # 4 is a unit mod 5, so the first generator of (4, 2, 5) kills y^3
+        assert torsion_profile(validate(4, 2, 5)).order(3) == 1
 
     def test_top_generator_always_hits_once(self):
+        # ... onto y^n itself, so y^n = 0 whatever m is
         for n in range(2, 12):
             for k in range(1, n):
-                assert transgression_coefficient(validate(n, k, 2), k) == 1
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            transgression_coefficient(validate(4, 2, 5), 0)
-        with pytest.raises(ValueError):
-            transgression_coefficient(validate(4, 2, 5), 3)
+                assert _transgression_coefficient(n, k, k) == 1
+                assert torsion_profile(validate(n, k, 2)).order(n) == 1
 
     def test_matches_comb(self):
+        # each coefficient kills its power: the order of y^(n - k + j) divides
+        # C(n, k - j) = C(n, n - k + j)
         for n in range(2, 15):
             for k in range(1, n):
+                prof = torsion_profile(validate(n, k, 3 * 2**6 * 5**3))
                 for j in range(1, k + 1):
-                    assert transgression_coefficient(validate(n, k, 3), j) == math.comb(
-                        n, k - j
-                    )
+                    c = _transgression_coefficient(n, k, j)
+                    assert c == math.comb(n, n - k + j)
+                    assert c % prof.order(n - k + j) == 0
