@@ -110,5 +110,7 @@ __all__ = [
     "span_upper_bound",
     "stiefel_whitney_classes",
     "torsion_profile",
+    "total_dimension",
+    "truncation_exponent",
     "validate",
 ]

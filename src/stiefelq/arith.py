@@ -1,5 +1,6 @@
 """Exact integer kernel: binomial coefficients, p-adic valuations of
-binomials, primality and factorization, and Radon-Hurwitz numbers.
+binomials, primality and factorization, Radon-Hurwitz numbers, and decimal
+conversion of integers of any size.
 
 Everything here is pure and exact (Python ints).  Nothing rounds, nothing
 overflows, and every function is deterministic in its arguments.
@@ -8,6 +9,7 @@ overflows, and every function is deterministic in its arguments.
 from __future__ import annotations
 
 import math
+import sys
 
 from stiefelq.manifold import ParameterError
 
@@ -207,3 +209,72 @@ def radon_hurwitz(n: int) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     a, b = divmod((n & -n).bit_length() - 1, 4)  # 4a + b = v_2(n)
     return 8 * a + 2**b
+
+
+# The interpreter's cap on decimal digits in one int <-> str conversion (the
+# CVE-2020-10735 fix, Python 3.10.7 and later); 0 means no cap.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _int_to_decimal(x: int) -> str:
+    """``str(x)`` for an int of any size, whatever the digit cap.
+
+    Below the cap this is ``str`` itself.  Above it, x is split by
+    10^(c * 2^i), c the cap, down to pieces of at most c digits, as in CPython
+    3.12's ``_pylong.int_to_decimal_string``.  The process-wide cap is never
+    changed.
+    """
+    limit = _digit_limit()
+    # x then has at most bit_length * log10(2) + 1 <= 0.91 * limit + 1 digits
+    if not limit or x.bit_length() <= 3 * limit:
+        return str(x)
+    if x < 0:
+        return "-" + _int_to_decimal(-x)
+    pows = [10**limit]  # pows[i] = 10^(limit * 2^i), up to the first above x
+    while pows[-1] <= x:
+        pows.append(pows[-1] * pows[-1])
+    parts: list[str] = []
+
+    def emit(v: int, i: int, pad: bool) -> None:
+        # v < pows[i]; padded to exactly limit * 2^i digits when ``pad``
+        if i == 0:
+            parts.append(str(v).zfill(limit) if pad else str(v))
+            return
+        hi, lo = divmod(v, pows[i - 1])
+        if hi or pad:
+            emit(hi, i - 1, pad)
+            pad = True
+        emit(lo, i - 1, pad)
+
+    emit(x, len(pows) - 1, False)
+    return "".join(parts)
+
+
+def _decimal_to_int(text: str) -> int:
+    """``int(text)`` for a decimal string of any length, whatever the digit
+    cap: the inverse of ``_int_to_decimal``.
+
+    Below the cap this is ``int`` itself.  Above it, only an optional "-"
+    followed by ASCII digits is accepted, parsed in halves of at most the
+    cap's length and joined by multiplying with powers of ten.
+    """
+    limit = _digit_limit()
+    if not limit or len(text) <= limit:
+        return int(text)
+    negative = text.startswith("-")
+    digits = text[negative:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text[:20]!r}... ({len(text)} characters)")
+    pow10: dict[int, int] = {}
+
+    def parse(lo: int, hi: int) -> int:
+        if hi - lo <= limit:
+            return int(digits[lo:hi])
+        low_len = (hi - lo) // 2
+        if low_len not in pow10:
+            pow10[low_len] = 10**low_len
+        scale = pow10[low_len]
+        return parse(lo, hi - low_len) * scale + parse(hi - low_len, hi)
+
+    value = parse(0, len(digits))
+    return -value if negative else value

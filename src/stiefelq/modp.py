@@ -33,9 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, TypeVar
 
 from stiefelq.arith import is_prime
 from stiefelq.manifold import ManifoldParams
+
+_T = TypeVar("_T")
 
 __all__ = [
     "CohomologyCase",
@@ -192,6 +195,21 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
     truncated series is one closed-form geometric sum, and each exterior
     factor (1 + t^d) is one shift and add; ``int.to_bytes`` then cuts the
     integer back into slots.
+
+    Only the low (slots + 1) // 2 slots are cut out; Poincare duality gives
+    the rest.  Each factor is palindromic: (1 + t^d) of degree d, and the
+    series 1 + t^g + ... + t^(g(T - 1)) of degree g(T - 1).  A product of
+    palindromes is a palindrome of the summed degree, and in every case that
+    sum is dim = k(2n - k), with h the degree-2 truncation exponent:
+
+      COPRIME         the odd run 2n-2k+1, 2n-2k+3, ..., 2n-1 alone, which
+                      sums to k(2n - k);
+      ODD_DIVIDES,    2(h - 1) for the series in y2, plus 1 for y1, plus the
+      ZERO_MOD_FOUR   run without 2h - 1;
+      TWO_MOD_FOUR    2h - 1 for the series in y1 (T = 2h), plus the run
+                      without 2h - 1.
+
+    So b_i = b_(dim - i), and the list is its own reverse.
     """
     w = (total_dimension(pres, k).bit_length() + 7) // 8
     bits = 8 * w
@@ -203,9 +221,20 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
         packed = ((1 << step * g.truncation) - 1) // ((1 << step) - 1)
     for deg in pres.exterior_degrees:
         packed += packed << deg * bits
-    slots = k * (2 * n - k) + 1
-    raw = packed.to_bytes(slots * w, "little")
-    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+
+    def low_slots(half: int) -> list[int]:
+        raw = (packed & ((1 << half * bits) - 1)).to_bytes(half * w, "little")
+        return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+
+    return _palindrome(k * (2 * n - k) + 1, low_slots)
+
+
+def _palindrome(length: int, head: Callable[[int], list[_T]]) -> list[_T]:
+    """The palindrome of ``length`` items whose first (length + 1) // 2 items,
+    the middle one included when ``length`` is odd, are ``head`` of that count.
+    The mirrored half holds the same objects as the first."""
+    low = head((length + 1) // 2)
+    return low + low[: length // 2][::-1]
 
 
 def total_dimension(pres: RingPresentation, k: int) -> int:

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from stiefelq.arith import factorize, is_prime
+from stiefelq.arith import _decimal_to_int, _int_to_decimal, factorize, is_prime
 from stiefelq.charclass import (
     CharClassReport,
     PontrjaginTerm,
@@ -35,6 +35,7 @@ from stiefelq.modp import (
     PolyGenerator,
     RingPresentation,
     SquareRule,
+    _palindrome,
     poincare_polynomial,
     presentation,
     total_dimension,
@@ -191,7 +192,7 @@ def report_to_dict(report: InvariantReport) -> dict:
             "pontrjagin": [
                 {
                     "j": t.j,
-                    "raw_coefficient": str(t.raw_coefficient),
+                    "raw_coefficient": _int_to_decimal(t.raw_coefficient),
                     "modulus": t.modulus,
                     "reduced": t.reduced,
                     "is_zero": t.is_zero,
@@ -258,7 +259,7 @@ def report_from_dict(data: dict) -> InvariantReport:
         pontrjagin=tuple(
             PontrjaginTerm(
                 j=t["j"],
-                raw_coefficient=int(t["raw_coefficient"]),
+                raw_coefficient=_decimal_to_int(t["raw_coefficient"]),
                 modulus=t["modulus"],
                 reduced=t["reduced"],
                 is_zero=t["is_zero"],
@@ -337,7 +338,7 @@ def _text_dossier(report: InvariantReport) -> str:
     for t in report.char_classes.pontrjagin:
         state = "zero" if t.is_zero else "NONZERO"
         lines.append(
-            f"  Pontrjagin j={t.j}: coefficient {t.raw_coefficient} "
+            f"  Pontrjagin j={t.j}: coefficient {_int_to_decimal(t.raw_coefficient)} "
             f"= {t.reduced} (mod {t.modulus}) -> {state}"
         )
     if report.char_classes.stiefel_whitney:
@@ -381,16 +382,21 @@ _POINCARE_ITEM_SEP = ",\n" + " " * 8
 def _json_dossier(report: InvariantReport) -> str:
     """``json.dumps(report_to_dict(report), indent=2)``, byte for byte, with
     each Poincare list joined in one step instead of going through the
-    pure-Python indented encoder item by item."""
+    pure-Python indented encoder item by item.  A list that reads the same
+    backwards (every computed one, by Poincare duality) has only its first
+    half converted to strings; the check is made, never assumed, since
+    ``report_from_json`` accepts any list."""
     data = report_to_dict(report)
     lists = []
     for entry in data["cohomology"]:
         coeffs = entry["poincare"]
         entry["poincare"] = []
+        if coeffs == coeffs[::-1]:
+            strs = _palindrome(len(coeffs), lambda half: list(map(str, coeffs[:half])))
+        else:
+            strs = map(str, coeffs)
         lists.append(
-            "[\n        " + _POINCARE_ITEM_SEP.join(map(str, coeffs)) + "\n      ]"
-            if coeffs
-            else "[]"
+            "[\n        " + _POINCARE_ITEM_SEP.join(strs) + "\n      ]" if coeffs else "[]"
         )
     head, *tails = json.dumps(data, indent=2).split(_POINCARE_KEY + "[]")
     return head + "".join(_POINCARE_KEY + c + t for c, t in zip(lists, tails))

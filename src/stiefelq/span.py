@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
 
-from stiefelq.arith import radon_hurwitz
+from stiefelq.arith import _int_to_decimal, radon_hurwitz
 from stiefelq.charclass import CharClassReport, char_class_report
 from stiefelq.manifold import ManifoldParams, ParameterError
 from stiefelq.torsion import torsion_profile
@@ -160,7 +160,8 @@ def _verdicts(params: ManifoldParams, classes: CharClassReport) -> tuple[TriStat
                 TriState.NO,
                 TriState.NO,
                 f"verdicts NO: Pontrjagin term j={t.j} has coefficient "
-                f"{t.raw_coefficient} = {t.reduced} (mod {t.modulus}), nonzero",
+                f"{_int_to_decimal(t.raw_coefficient)} = {t.reduced} "
+                f"(mod {t.modulus}), nonzero",
             )
     for t in classes.stiefel_whitney:
         if t.present:

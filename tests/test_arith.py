@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
 import time
 from collections import Counter
 
@@ -244,3 +246,48 @@ class TestFactorize:
         with pytest.raises(ParameterError) as exc:
             factorize(999983 * 1000003)
         assert exc.value.reason == "too-large"
+
+
+class TestDecimal:
+    """``_int_to_decimal`` and ``_decimal_to_int`` against ``str``/``int``
+    under a raised digit cap, set inside each test only."""
+
+    @staticmethod
+    def _samples():
+        rnd = random.Random(6)
+        out = [0, 1, -1, 10**640 - 1, 10**640, 10**1280 + 1, -(10**2561), 7**9000]
+        for digits in (639, 640, 641, 1920, 2000, 2600, 5000, 13000):
+            out.append(rnd.randrange(10 ** (digits - 1), 10**digits))
+        return out
+
+    @pytest.mark.parametrize("cap", [640, 641, 1000, 4300])
+    def test_matches_str_under_any_cap(self, cap):
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = [(x, str(x)) for x in self._samples()]
+            sys.set_int_max_str_digits(cap)
+            for x, text in expected:
+                assert arith._int_to_decimal(x) == text
+                assert arith._decimal_to_int(text) == x
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_below_the_cap_is_str_and_int(self):
+        assert arith._int_to_decimal(12345678901234567890) == "12345678901234567890"
+        assert arith._decimal_to_int("-12345678901234567890") == -12345678901234567890
+        with pytest.raises(ValueError):
+            arith._decimal_to_int("12x")
+
+    @pytest.mark.parametrize(
+        "text", ["1_" * 700, "\u0661" * 700, " " + "1" * 700, "--" + "1" * 700, "1" * 700 + "x"]
+    )
+    def test_long_noncanonical_text_rejected(self, text):
+        # above the cap only an optional "-" and ASCII digits are accepted
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            with pytest.raises(ValueError):
+                arith._decimal_to_int(text)
+        finally:
+            sys.set_int_max_str_digits(old)

@@ -235,6 +235,36 @@ class TestPoincarePolynomial:
         assert total_dimension(pres, k) == total == sum(coeffs)
         assert coeffs == _naive_poincare(pres, n, k)
 
+    @pytest.mark.parametrize(
+        "n, k",
+        [
+            (88, 44),  # dim even: one middle slot
+            (89, 45),  # dim odd: the halves meet between two slots
+            (90, 46),
+            (90, 64),  # slots of 9 bytes or more in every case
+            (91, 65),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "m, p, case",
+        [
+            (Q, 2, CASES.COPRIME),
+            (3 * Q, Q, CASES.ODD_DIVIDES),
+            (9, 3, CASES.ODD_DIVIDES),
+            (6, 2, CASES.TWO_MOD_FOUR),
+            (4, 2, CASES.ZERO_MOD_FOUR),
+        ],
+    )
+    def test_halved_unpack_matches_naive_at_large_sizes(self, n, k, m, p, case):
+        # only the low half is unpacked; the mirrored half must still equal
+        # the full list expansion
+        pres, coeffs = _coeffs(n, k, m, p)
+        assert pres.case is case
+        assert len(coeffs) == k * (2 * n - k) + 1
+        assert coeffs == _naive_poincare(pres, n, k)
+        if k >= 64:
+            assert total_dimension(pres, k).bit_length() > 64
+
     def test_example_3_2_2(self):
         _, coeffs = _coeffs(3, 2, 2, 2)
         assert coeffs == [1, 1, 1, 1, 0, 1, 1, 1, 1]

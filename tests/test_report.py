@@ -151,6 +151,33 @@ class TestRender:
         expected = (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
         assert render(report, "json") == expected
 
+    @pytest.mark.parametrize(
+        "poincare",
+        [
+            "bump",  # one computed coefficient changed: no longer a palindrome
+            [7],
+            [1, 2],
+            [2, 2],
+            [1, 2, 1],
+            [1, 2, 3],
+            [10**20, 5, int("1" + "0" * 20)],  # equal but distinct int objects
+            [-1, 0, 1, 0, -1],
+        ],
+    )
+    def test_json_matches_indented_dump_for_loaded_poincare_lists(self, poincare):
+        # report_from_dict takes any list, so the palindrome check must hold
+        # for lists no computation made
+        data = report_to_dict(compute_report(validate(9, 4, 6)))
+        for entry in data["cohomology"]:
+            if poincare == "bump":
+                entry["poincare"][3] += 1
+                assert entry["poincare"] != entry["poincare"][::-1]
+            else:
+                entry["poincare"] = list(poincare)
+        loaded = report.report_from_dict(data)
+        expected = (json.dumps(report_to_dict(loaded), indent=2) + "\n").encode()
+        assert render(loaded, "json") == expected
+
     def test_large_report_is_quick(self):
         # the list-loop expansion and whole-dict indented dump took 2.4-3.4 s
         # on a 2-CPU x86-64 machine with Python 3.11; this route about 0.4 s
@@ -294,6 +321,27 @@ class TestCli:
 
     def test_invalid_primes_exit_2(self, capsys):
         assert main(["compute", "--n", "4", "--k", "2", "--m", "2", "--primes", "6"]) == 2
+
+    def test_compute_past_the_interpreter_digit_cap(self, capsys):
+        # Pontrjagin coefficients of n = 8808, k = 2 pass 4300 decimal digits,
+        # the default int <-> str cap
+        argv = ["compute", "--n", "8808", "--k", "2", "--m", "6"]
+        assert main(argv) == 0
+        assert "Pontrjagin j=4404: coefficient " in capsys.readouterr().out
+        assert main(argv + ["--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        computed = compute_report(validate(8808, 2, 6))
+        assert report.report_from_dict(data) == computed
+        terms = computed.char_classes.pontrjagin
+        strings = [t["raw_coefficient"] for t in data["char_classes"]["pontrjagin"]]
+        assert len(strings[-1]) > 4300
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            for i in [*range(0, len(terms), 97), len(terms) - 1]:
+                assert strings[i] == str(terms[i].raw_coefficient)
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_span_subcommand(self, capsys):
         assert main(["span", "--n", "4", "--k", "2", "--m", "2", "--ext-span", "13"]) == 0
