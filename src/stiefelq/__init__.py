@@ -10,13 +10,7 @@ characteristic classes, span and stable-span bounds, and three-valued
 parallelizability verdicts.
 """
 
-from stiefelq.arith import (
-    binomial,
-    factorize,
-    is_prime,
-    padic_valuation_binomial,
-    radon_hurwitz,
-)
+from stiefelq.arith import factorize, is_prime, radon_hurwitz
 from stiefelq.charclass import (
     CharClassReport,
     PontrjaginTerm,
@@ -88,7 +82,6 @@ __all__ = [
     "TorsionProfile",
     "TriState",
     "basic_invariants",
-    "binomial",
     "char_class_report",
     "classify",
     "compute_report",
@@ -97,7 +90,6 @@ __all__ = [
     "generate_table",
     "is_prime",
     "lower_bound_from_external_span",
-    "padic_valuation_binomial",
     "poincare_polynomial",
     "presentation",
     "radon_hurwitz",

@@ -1,6 +1,6 @@
-"""Exact integer kernel: binomial coefficients, p-adic valuations of
-binomials, primality and factorization, Radon-Hurwitz numbers, and decimal
-conversion of integers of any size.
+"""Exact integer kernel: p-adic valuations of binomials, primality and
+factorization, Radon-Hurwitz numbers, and decimal conversion of integers of
+any size.
 
 Everything here is pure and exact (Python ints).  Nothing rounds, nothing
 overflows, and every function is deterministic in its arguments.
@@ -14,29 +14,10 @@ import sys
 from stiefelq.manifold import ParameterError
 
 __all__ = [
-    "binomial",
-    "padic_valuation_binomial",
     "radon_hurwitz",
     "is_prime",
     "factorize",
 ]
-
-
-def binomial(n: int, j: int) -> int:
-    """C(n, j) as an exact integer; 0 when j > n.
-
-    Running product with an exact division at every step: the partial product
-    after i steps is C(n - j + i, i), so each division is integral.
-    """
-    if n < 0 or j < 0:
-        raise ValueError("binomial expects nonnegative arguments")
-    if j > n:
-        return 0
-    j = min(j, n - j)
-    out = 1
-    for i in range(1, j + 1):
-        out = out * (n - j + i) // i
-    return out
 
 
 # The first 13 primes: trial divisors and strong-test bases of ``is_prime``.
@@ -171,22 +152,10 @@ def factorize(q: int) -> list[tuple[int, int]]:
     return out + sorted(large.items())
 
 
-def padic_valuation_binomial(n: int, j: int, p: int) -> int:
-    """v_p(C(n, j)): the exact power of the prime p dividing C(n, j).
-
-    Counted as the number of carries when adding j and n - j in base p, which
-    never forms the (possibly huge) binomial itself.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if j < 0 or j > n:
-        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-    return _carries(n, j, p)
-
-
 def _carries(n: int, j: int, p: int) -> int:
-    # v_p(C(n, j)) for a prime p and 0 <= j <= n, unchecked: callers that
-    # already know p is prime skip the test in ``padic_valuation_binomial``.
+    # v_p(C(n, j)) for a prime p and 0 <= j <= n, unchecked (Kummer): the
+    # number of carries when adding j and n - j in base p, which never forms
+    # the (possibly huge) binomial itself.
     carries = 0
     carry = 0
     a, b = j, n - j

@@ -24,6 +24,11 @@ class ParameterError(ValueError):
         super().__init__(message)
         self.reason = reason
 
+    def __reduce__(self):
+        # the default rebuilds from ``args`` (the message) alone, so an error
+        # raised in a pool worker could not be unpickled in the caller
+        return type(self), (self.reason, *self.args)
+
 
 @dataclass(frozen=True)
 class ManifoldParams:

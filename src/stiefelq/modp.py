@@ -135,6 +135,10 @@ def truncation_exponent(n: int, k: int, p: int) -> int:
 
 
 def classify(m: int, p: int) -> CohomologyCase:
+    """Which of the four mod-p cohomology cases m falls in: COPRIME when p
+    does not divide m, ODD_DIVIDES for an odd p dividing m, and for p = 2
+    TWO_MOD_FOUR or ZERO_MOD_FOUR by m mod 4.  Raises ``ValueError`` when p
+    is not a prime."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if m % p != 0:

@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import logging
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from stiefelq.arith import _decimal_to_int, _int_to_decimal, factorize, is_prime
@@ -62,8 +64,8 @@ CSV_HEADER = "n,k,m,dim,height,span_lower,span_upper,stably_parallelizable,paral
 
 log = logging.getLogger(__name__)
 
-# Largest number of rows a pool worker takes at once: the first row, and an
-# early stop, wait for at most one chunk per worker.
+# Rows a pool worker takes at once: the first row, and an early stop, wait
+# for at most one chunk per worker.
 _CHUNK_CAP = 64
 
 
@@ -442,6 +444,8 @@ class GridSpec:
             raise ParameterError("format-unknown", f"table format must be csv or json, got {self.fmt!r}")
         if self.jobs < 1:
             raise ParameterError("jobs-too-small", f"jobs must be >= 1, got {self.jobs}")
+        if self.primes is not None:
+            _check_primes(self.primes)  # before any row, in this process
 
 
 def _grid_points(spec: GridSpec) -> Iterator[ManifoldParams]:
@@ -461,8 +465,7 @@ def _grid_points(spec: GridSpec) -> Iterator[ManifoldParams]:
                 yield params
 
 
-def _table_row(task: tuple[ManifoldParams, tuple[int, ...] | None, str]) -> bytes:
-    params, primes, fmt = task
+def _table_row(params: ManifoldParams, primes: tuple[int, ...] | None, fmt: str) -> bytes:
     report = compute_report(params, primes)
     if fmt == "csv":
         return render(report, "csv_row")
@@ -470,26 +473,41 @@ def _table_row(task: tuple[ManifoldParams, tuple[int, ...] | None, str]) -> byte
     return json.dumps(report_to_dict(report), separators=(",", ":")).encode()
 
 
+def _table_rows(
+    chunk: list[ManifoldParams], primes: tuple[int, ...] | None, fmt: str
+) -> list[bytes]:
+    return [_table_row(params, primes, fmt) for params in chunk]
+
+
 def generate_table(spec: GridSpec) -> Iterator[bytes]:
     """Yield rendered rows (no trailing newlines) in lexicographic (n, k, m)
     order; CSV starts with the header row.  The output is byte-identical for
-    any ``jobs`` value: workers only compute, ordering is fixed up front.  At
-    most min(jobs, CPU count, rows) worker processes are started; with fewer
-    than two, rows are computed in-process as the grid is walked."""
+    any ``jobs`` value: workers only compute, rows come back in grid order.
+
+    The grid is walked lazily, so the first row never waits for the rest of
+    it.  Pool workers take chunks of ``_CHUNK_CAP`` rows, and at most two
+    chunks per worker are in flight: one more is submitted each time a
+    chunk's rows have been yielded.  At most min(jobs, CPU count, chunks the
+    grid fills) workers are started; with fewer than two, rows are computed
+    in-process."""
     if spec.fmt == "csv":
         yield CSV_HEADER.encode()
-    tasks = ((params, spec.primes, spec.fmt) for params in _grid_points(spec))
+    points = _grid_points(spec)
+    chunks = iter(lambda: list(islice(points, _CHUNK_CAP)), [])
     workers = min(spec.jobs, os.cpu_count() or 1)
-    if workers > 1:
-        tasks = list(tasks)  # the pool sizes its workers and chunks by the row count
-        workers = min(workers, len(tasks))
+    window = list(islice(chunks, 2 * workers)) if workers > 1 else []
+    workers = min(workers, len(window))
     if workers < 2:
-        yield from map(_table_row, tasks)
+        for params in chain(*window, points):
+            yield _table_row(params, spec.primes, spec.fmt)
         return
-    chunk = max(1, min(_CHUNK_CAP, len(tasks) // (workers * 4)))
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        yield from pool.map(_table_row, tasks, chunksize=chunk)
+        pending = deque(pool.submit(_table_rows, c, spec.primes, spec.fmt) for c in window)
+        while pending:
+            yield from pending.popleft().result()
+            for chunk in islice(chunks, 1):
+                pending.append(pool.submit(_table_rows, chunk, spec.primes, spec.fmt))
     finally:
         # A consumer that stops early (``table | head``) must not wait for
         # the rows nobody will read.

@@ -11,13 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiefelq import arith
-from stiefelq.arith import (
-    binomial,
-    factorize,
-    is_prime,
-    padic_valuation_binomial,
-    radon_hurwitz,
-)
+from stiefelq.arith import factorize, is_prime, radon_hurwitz
 from stiefelq.manifold import ParameterError
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -54,6 +48,30 @@ def _exact_valuation(value: int, p: int) -> int:
     return v
 
 
+def _binomial(n: int, j: int) -> int:
+    # oracle: C(n, j) as a running product with an exact division at every
+    # step (the partial product after i steps is C(n - j + i, i)); 0 when j > n
+    if n < 0 or j < 0:
+        raise ValueError("binomial expects nonnegative arguments")
+    if j > n:
+        return 0
+    j = min(j, n - j)
+    out = 1
+    for i in range(1, j + 1):
+        out = out * (n - j + i) // i
+    return out
+
+
+def _valuation(n: int, j: int, p: int) -> int:
+    # v_p(C(n, j)) by the library's carry count (Kummer), behind the argument
+    # checks that the unchecked helper leaves to its callers
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if j < 0 or j > n:
+        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
+    return arith._carries(n, j, p)
+
+
 def _two_adic_split(n: int) -> tuple[int, int, int]:
     # oracle: (a, b, c) with n = (2c + 1) * 2^(4a + b), 0 <= b <= 3, by halving
     e = 0
@@ -64,57 +82,57 @@ def _two_adic_split(n: int) -> tuple[int, int, int]:
 
 
 class TestBinomial:
+    # the exact-binomial oracle itself, against the standard library
     def test_examples(self):
-        assert binomial(4, 2) == 6
-        assert binomial(8, 3) == 56
-        assert binomial(5, 9) == 0
+        assert _binomial(4, 2) == 6
+        assert _binomial(8, 3) == 56
+        assert _binomial(5, 9) == 0
         for n in (0, 1, 7, 40):
-            assert binomial(n, 0) == 1
-            assert binomial(n, n) == 1
+            assert _binomial(n, 0) == 1
+            assert _binomial(n, n) == 1
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            binomial(-1, 0)
+            _binomial(-1, 0)
         with pytest.raises(ValueError):
-            binomial(3, -2)
+            _binomial(3, -2)
 
     @given(st.integers(0, 300), st.integers(0, 320))
     def test_matches_math_comb(self, n, j):
         expected = math.comb(n, j) if j <= n else 0
-        assert binomial(n, j) == expected
+        assert _binomial(n, j) == expected
 
 
 class TestValuation:
+    # Kummer: the carry count equals the exact valuation of the binomial
     def test_examples(self):
-        assert padic_valuation_binomial(4, 2, 2) == 1  # C(4,2) = 6 = 2 * 3
-        assert padic_valuation_binomial(4, 3, 2) == 2  # C(4,3) = 4 = 2^2
+        assert _valuation(4, 2, 2) == 1  # C(4,2) = 6 = 2 * 3
+        assert _valuation(4, 3, 2) == 2  # C(4,3) = 4 = 2^2
         for n in (0, 3, 17):
-            assert padic_valuation_binomial(n, 0, 5) == 0
+            assert _valuation(n, 0, 5) == 0
 
     def test_matches_exact_factorization_exhaustively(self):
         for n in range(41):
             for j in range(n + 1):
-                b = math.comb(n, j)
+                b = _binomial(n, j)
                 for p in SMALL_PRIMES:
-                    v = padic_valuation_binomial(n, j, p)
+                    v = _valuation(n, j, p)
                     assert b % p**v == 0
                     assert (b // p**v) % p != 0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            padic_valuation_binomial(4, 5, 2)  # j > n
+            _valuation(4, 5, 2)  # j > n
         with pytest.raises(ValueError):
-            padic_valuation_binomial(4, 2, 4)  # composite p
+            _valuation(4, 2, 4)  # composite p
         with pytest.raises(ValueError):
-            padic_valuation_binomial(4, 2, 1)
+            _valuation(4, 2, 1)
 
     @given(st.integers(0, 5000), st.data())
     def test_matches_exact_factorization(self, n, data):
         j = data.draw(st.integers(0, n))
         p = data.draw(st.sampled_from(SMALL_PRIMES))
-        assert padic_valuation_binomial(n, j, p) == _exact_valuation(
-            max(math.comb(n, j), 1), p
-        )
+        assert _valuation(n, j, p) == _exact_valuation(max(math.comb(n, j), 1), p)
 
 
 class TestRadonHurwitz:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from stiefelq.manifold import ParameterError, basic_invariants, validate
@@ -32,6 +34,13 @@ class TestValidate:
         with pytest.raises(ParameterError) as exc:
             validate(n, k, m)
         assert exc.value.reason == reason
+
+    def test_error_survives_pickling(self):
+        # pool workers send their errors back pickled
+        err = pickle.loads(pickle.dumps(ParameterError("too-large", "q is too large")))
+        assert type(err) is ParameterError
+        assert err.reason == "too-large"
+        assert str(err) == "q is too large"
 
 
 class TestBasicInvariants:

@@ -5,6 +5,7 @@ import logging
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
@@ -34,6 +35,37 @@ def _params(draw):
     k = draw(st.integers(1, n - 1))
     m = draw(st.integers(2, 30))
     return validate(n, k, m)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stand in for the process pool: ``submit`` runs the chunk here and
+    returns a completed future, so no process starts.  The log holds each
+    pool's worker count and the most futures ever outstanding (submitted,
+    result not yet taken)."""
+    log = {"started": [], "outstanding": 0, "peak": 0}
+
+    class TakenFuture(Future):
+        def result(self, timeout=None):
+            log["outstanding"] -= 1
+            return super().result(timeout)
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            log["started"].append(max_workers)
+
+        def submit(self, fn, *args):
+            future = TakenFuture()
+            future.set_result(fn(*args))
+            log["outstanding"] += 1
+            log["peak"] = max(log["peak"], log["outstanding"])
+            return future
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(report, "ProcessPoolExecutor", InlinePool)
+    return log
 
 
 class TestComputeReport:
@@ -241,50 +273,55 @@ class TestTable:
         spec2 = GridSpec(n_range=(3, 6), k_range=None, m_range=(2, 5), jobs=3)
         assert render_table(spec1) == render_table(spec2)
 
-    def test_worker_count_is_bounded(self, monkeypatch):
-        started = []
-        chunks = []
+    def test_pooled_rows_stream_from_the_grid(self, monkeypatch, inline_pool):
+        # the pool path walks the grid lazily too: the first row of a
+        # 352k-point table waits for one window of chunks, not the grid
+        calls = []
 
-        class RecordingPool:
-            # records the worker count and chunk size and runs the rows here:
-            # no process starts
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def counted(*args):
+            calls.append(args)
+            return validate(*args)
 
-            def map(self, fn, tasks, chunksize):
-                chunks.append(chunksize)
-                return map(fn, tasks)
+        monkeypatch.setattr(report, "validate", counted)
+        monkeypatch.setattr(report.os, "cpu_count", lambda: 2)
+        spec = GridSpec(n_range=(3, 60), k_range=None, m_range=(2, 200), jobs=2)
+        rows = generate_table(spec)
+        assert next(rows) == CSV_HEADER.encode()
+        assert next(rows).startswith(b"3,1,2,")
+        assert inline_pool["started"] == [2]
+        assert len(calls) <= 2 * 2 * report._CHUNK_CAP + 1
+        rows.close()
 
-            def shutdown(self, cancel_futures):
-                pass
-
-        monkeypatch.setattr(report, "ProcessPoolExecutor", RecordingPool)
+    def test_worker_count_is_bounded(self, monkeypatch, inline_pool):
         monkeypatch.setattr(report.os, "cpu_count", lambda: 4)
-        ten_rows = GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 3))
-        serial = render_table(ten_rows)
-        two_rows = GridSpec(n_range=(3, 3), k_range=None, m_range=(2, 2))
+        # 5 k values per m over n 3..4: 1300 rows fill 21 chunks of 64
+        wide = GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 261))
+        serial = render_table(wide)
+        triples = [tuple(map(int, row.split(b",")[:3])) for row in serial.splitlines()[1:]]
+        assert len(triples) == 1300 and triples == sorted(triples)
         for spec, jobs, workers in [
-            (ten_rows, 10**9, 4),  # CPU count bounds
-            (ten_rows, 3, 3),  # jobs bounds
-            (two_rows, 10**9, 2),  # rows bound
+            (wide, 10**9, 4),  # CPU count bounds
+            (wide, 3, 3),  # jobs bounds
+            (replace(wide, m_range=(2, 27)), 10**9, 3),  # 130 rows: 3 chunks bound
+            (replace(wide, m_range=(2, 14)), 10**9, 2),  # 65 rows: 2 chunks
         ]:
-            started.clear()
+            inline_pool.update(started=[], peak=0)
             table = render_table(replace(spec, jobs=jobs))
-            assert started == [workers]
-            if spec is ten_rows:
+            assert inline_pool["started"] == [workers]
+            assert inline_pool["peak"] <= 2 * workers
+            assert inline_pool["outstanding"] == 0
+            if spec is wide:
                 assert table == serial
-        # chunks of rows / (4 x workers), at most 64 rows each
-        for m_hi, jobs, chunk in [(100, 4, 30), (400, 4, 64), (400, 2, 64)]:
-            chunks.clear()
-            render_table(GridSpec(n_range=(3, 4), k_range=None, m_range=(2, m_hi), jobs=jobs))
-            assert chunks == [chunk], (m_hi, jobs)
-        chunks.clear()
-        render_table(replace(ten_rows, jobs=4))
-        assert chunks == [1]
+                assert inline_pool["peak"] == 2 * workers  # the window fills
+        # fewer than two chunks: rows are computed in-process
+        inline_pool.update(started=[])
+        ten_rows = GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 3), jobs=10**9)
+        assert render_table(ten_rows) == render_table(replace(ten_rows, jobs=1))
+        assert inline_pool["started"] == []
+        # one usable CPU: rows are computed in-process
         monkeypatch.setattr(report.os, "cpu_count", lambda: None)
-        started.clear()
-        assert render_table(replace(ten_rows, jobs=10**9)) == serial
-        assert started == []  # one usable CPU: rows are computed in-process
+        assert render_table(replace(wide, jobs=10**9)) == serial
+        assert inline_pool["started"] == []
 
     def test_json_rows_parse(self):
         spec = GridSpec(n_range=(3, 3), k_range=None, m_range=(2, 3), fmt="json")
@@ -303,6 +340,12 @@ class TestTable:
             GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 2), jobs=0)
         with pytest.raises(ParameterError):
             GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 2), fmt="xml")
+
+    @pytest.mark.parametrize("primes,reason", [((2, 4), "primes-not-prime"), ((), "primes-empty")])
+    def test_bad_primes_rejected_up_front(self, primes, reason):
+        with pytest.raises(ParameterError) as exc:
+            GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 2), primes=primes)
+        assert exc.value.reason == reason
 
 
 class TestCli:
@@ -368,6 +411,27 @@ class TestCli:
 
     def test_table_empty_range_exit_2(self, capsys):
         assert main(["table", "--n", "4..3", "--m", "2..2"]) == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_table_bad_primes_exit_2_before_any_output(self, jobs, capsys):
+        argv = ["table", "--n", "3..30", "--m", "2..30", "--primes", "4", "--jobs", jobs]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().endswith("[primes-not-prime]")
+
+    @pytest.mark.parametrize("grid", [["--n", "4..4"], ["--n", "3..200", "--k", "1..1"]])
+    def test_pooled_table_too_large_m_exits_2(self, grid):
+        # 2^89 - 1 is prime but beyond what is_prime can prove.  n 3..200 at
+        # k = 1 fills four chunks, so the error is raised in a pool worker
+        # and has to cross back pickled
+        m = str(2**89 - 1)
+        argv = ["table", *grid, "--m", f"{m}..{m}", "--jobs", "2"]
+        proc = subprocess.run([sys.executable, "-m", "stiefelq", *argv],
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.strip().endswith(b"[too-large]")
+        assert b"Traceback" not in proc.stderr
 
     def test_jobs_env(self, capsys, monkeypatch):
         monkeypatch.setenv("STIEFEL_JOBS", "2")
