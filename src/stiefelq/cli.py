@@ -152,8 +152,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error: {exc} [{exc.reason}]", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # some exceptions (MemoryError) carry no message: name the type
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -31,6 +31,8 @@ results as extrapolated.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, TypeVar
@@ -39,6 +41,10 @@ from stiefelq.arith import is_prime
 from stiefelq.manifold import ManifoldParams
 
 _T = TypeVar("_T")
+
+# Unsigned array type code of each item size among 1, 2, 4 and 8 bytes, the
+# first that has it ("L" is 4 bytes on some platforms and 8 on others).
+_ARRAY_CODES = {array(c).itemsize: c for c in reversed("BHILQ")}
 
 __all__ = [
     "CohomologyCase",
@@ -193,16 +199,23 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
 
     The product is formed in one integer (Kronecker substitution): the
     coefficient of t^i sits in the i-th slot of w bytes, where w is the byte
-    length of ``total_dimension(pres, k)``.  Slot-width invariant: every
-    partial product has nonnegative coefficients summing to at most that
-    total, so no slot ever exceeds it and none carries into the next.  The
-    truncated series is one closed-form geometric sum, and each exterior
-    factor (1 + t^d) is one shift and add; ``int.to_bytes`` then cuts the
-    integer back into slots.
+    length of ``total_dimension(pres, k)``, rounded up to 1, 2, 4 or 8 when
+    it is at most 8.  Slot-width invariant: every partial product has
+    nonnegative coefficients summing to at most that total, so no slot ever
+    exceeds it and none carries into the next; a wider slot only leaves more
+    room.  The truncated series is one closed-form geometric sum, and each
+    exterior factor (1 + t^d) is one shift and add.  Slots of at most 8 bytes
+    are read back as one ``array``; wider ones with one ``int.from_bytes``
+    each.
 
-    Only the low (slots + 1) // 2 slots are cut out; Poincare duality gives
-    the rest.  Each factor is palindromic: (1 + t^d) of degree d, and the
-    series 1 + t^g + ... + t^(g(T - 1)) of degree g(T - 1).  A product of
+    Only the low H = (slots + 1) // 2 slots are formed at all; Poincare
+    duality gives the rest.  Shifts move slots only upward and no slot
+    carries, so the low H slots of the product depend only on the low H
+    slots of each factor: the series stops at its last term below t^H, and
+    every shift and add is masked back to H slots.
+
+    Each factor is palindromic: (1 + t^d) of degree d, and the series
+    1 + t^g + ... + t^(g(T - 1)) of degree g(T - 1).  A product of
     palindromes is a palindrome of the summed degree, and in every case that
     sum is dim = k(2n - k), with h the degree-2 truncation exponent:
 
@@ -216,19 +229,28 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
     So b_i = b_(dim - i), and the list is its own reverse.
     """
     w = (total_dimension(pres, k).bit_length() + 7) // 8
+    if w <= 8:
+        w = 1 << (w - 1).bit_length()
     bits = 8 * w
     g = pres.poly_generator
-    if g is None:
-        packed = 1
-    else:
-        step = g.degree * bits
-        packed = ((1 << step * g.truncation) - 1) // ((1 << step) - 1)
-    for deg in pres.exterior_degrees:
-        packed += packed << deg * bits
 
     def low_slots(half: int) -> list[int]:
-        raw = (packed & ((1 << half * bits) - 1)).to_bytes(half * w, "little")
-        return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+        mask = (1 << half * bits) - 1
+        if g is None:
+            packed = 1
+        else:
+            step = g.degree * bits
+            terms = min(g.truncation, -(-half // g.degree))
+            packed = ((1 << step * terms) - 1) // ((1 << step) - 1)
+        for deg in pres.exterior_degrees:
+            packed = (packed + (packed << deg * bits)) & mask
+        raw = packed.to_bytes(half * w, "little")
+        if w > 8:
+            return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+        slots = array(_ARRAY_CODES[w], raw)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        return slots.tolist()
 
     return _palindrome(k * (2 * n - k) + 1, low_slots)
 

@@ -13,7 +13,6 @@ import json
 import logging
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
@@ -112,7 +111,12 @@ def compute_report(
     (default: the primes dividing m, plus 2).  Presentations are listed with
     p ascending.  Each layer runs once: the torsion profile feeds the char
     classes, and those feed the span verdicts."""
-    ps = default_primes(params.m) if primes is None else _check_primes(primes)
+    return _compute_report(params, None if primes is None else _check_primes(primes))
+
+
+def _compute_report(params: ManifoldParams, primes: tuple[int, ...] | None) -> InvariantReport:
+    # ``primes`` is None or already through ``_check_primes``
+    ps = default_primes(params.m) if primes is None else primes
     cohomology = []
     for p in ps:
         pres = presentation(params, p)
@@ -424,7 +428,8 @@ class GridSpec:
     """A rectangular (n, k, m) grid; k_range None means 1..n-1 for each n.
 
     Grid points that fail validation are skipped with a logged note; the
-    ranges themselves must be nonempty.
+    ranges themselves must be nonempty.  ``primes`` is checked here, once,
+    and kept sorted without repeats.
     """
 
     n_range: tuple[int, int]
@@ -445,7 +450,8 @@ class GridSpec:
         if self.jobs < 1:
             raise ParameterError("jobs-too-small", f"jobs must be >= 1, got {self.jobs}")
         if self.primes is not None:
-            _check_primes(self.primes)  # before any row, in this process
+            # before any row, in this process; rows skip the check
+            object.__setattr__(self, "primes", _check_primes(self.primes))
 
 
 def _grid_points(spec: GridSpec) -> Iterator[ManifoldParams]:
@@ -466,7 +472,7 @@ def _grid_points(spec: GridSpec) -> Iterator[ManifoldParams]:
 
 
 def _table_row(params: ManifoldParams, primes: tuple[int, ...] | None, fmt: str) -> bytes:
-    report = compute_report(params, primes)
+    report = _compute_report(params, primes)
     if fmt == "csv":
         return render(report, "csv_row")
     # one compact JSON object per row
@@ -501,6 +507,9 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
         for params in chain(*window, points):
             yield _table_row(params, spec.primes, spec.fmt)
         return
+    # imported here, so commands that start no pool never load it
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         pending = deque(pool.submit(_table_rows, c, spec.primes, spec.fmt) for c in window)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stiefelq import modp
 from stiefelq.manifold import validate
 from stiefelq.modp import (
     CohomologyCase,
@@ -222,6 +224,22 @@ class TestPoincarePolynomial:
             (16, 15, 3, 2, 2**15),
             (27, 12, Q, Q, 2**16),  # 3 bytes
             (17, 16, 3, 2, 2**16),
+            (34, 20, Q, Q, 15 * 2**20),  # 3 bytes, read as 4
+            (24, 23, 3, 2, 2**23),
+            (35, 20, Q, Q, 2**24),  # 4 bytes
+            (25, 24, 3, 2, 2**24),
+            (42, 28, Q, Q, 15 * 2**28),
+            (32, 31, 3, 2, 2**31),
+            (43, 28, Q, Q, 2**32),  # 5 bytes, read as 8
+            (33, 32, 3, 2, 2**32),
+            (50, 36, Q, Q, 15 * 2**36),
+            (40, 39, 3, 2, 2**39),
+            (51, 36, Q, Q, 2**40),  # 6 bytes, read as 8
+            (41, 40, 3, 2, 2**40),
+            (66, 52, Q, Q, 15 * 2**52),  # 7 bytes, read as 8
+            (56, 55, 3, 2, 2**55),
+            (67, 52, Q, Q, 2**56),  # 8 bytes
+            (57, 56, 3, 2, 2**56),
             (74, 60, Q, Q, 15 * 2**60),  # 8 bytes
             (64, 63, 3, 2, 2**63),
             (75, 60, Q, Q, 2**64),  # 9 bytes
@@ -229,15 +247,46 @@ class TestPoincarePolynomial:
         ],
     )
     def test_slot_width_boundaries(self, n, k, m, p, total):
-        # the slot width is the byte length of total_dimension; these sit just
-        # below and at 2^8, 2^16 and 2^64, where it grows by one byte
+        # the slot width is the byte length of total_dimension, rounded up to
+        # 1, 2, 4 or 8 up to 8 bytes; these sit just below and at 2^8, 2^16,
+        # 2^24, 2^32, 2^40, 2^56 and 2^64, where it grows by one byte
         pres, coeffs = _coeffs(n, k, m, p)
         assert total_dimension(pres, k) == total == sum(coeffs)
         assert coeffs == _naive_poincare(pres, n, k)
 
     @pytest.mark.parametrize(
+        "bits, itemsize",
+        [(8, 1), (9, 2), (16, 2), (17, 4), (24, 4), (25, 4), (32, 4), (33, 8),
+         (40, 8), (41, 8), (56, 8), (57, 8), (64, 8)],
+    )
+    def test_slots_are_read_at_the_rounded_width(self, monkeypatch, bits, itemsize):
+        # (k + 1, k, Q) at p = Q has truncation exponent 2, so total_dimension
+        # is 2^(k + 1), a bits-bit number; slots of up to 8 bytes are read as
+        # one array of the next item size among 1, 2, 4 and 8
+        read = []
+
+        def recording_array(code, raw):
+            read.append(array(code).itemsize)
+            return array(code, raw)
+
+        monkeypatch.setattr(modp, "array", recording_array)
+        k = bits - 2
+        pres, coeffs = _coeffs(k + 1, k, Q, Q)
+        assert total_dimension(pres, k).bit_length() == bits
+        assert read == [itemsize]
+        assert coeffs == _naive_poincare(pres, k + 1, k)
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_array_code_has_its_item_size(self, size):
+        assert array(modp._ARRAY_CODES[size]).itemsize == size
+
+    @pytest.mark.parametrize(
         "n, k",
         [
+            (88, 1),  # k = 1 and 2: the series reaches past the half and is cut
+            (88, 2),
+            (89, 1),
+            (89, 2),
             (88, 44),  # dim even: one middle slot
             (89, 45),  # dim odd: the halves meet between two slots
             (90, 46),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import logging
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefelq import charclass, report, span, torsion
+from stiefelq import charclass, cli, report, span, torsion
 from stiefelq.cli import main
 from stiefelq.manifold import ParameterError, validate
 from stiefelq.report import (
@@ -64,7 +65,7 @@ def inline_pool(monkeypatch):
         def shutdown(self, cancel_futures):
             pass
 
-    monkeypatch.setattr(report, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return log
 
 
@@ -347,6 +348,25 @@ class TestTable:
             GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 2), primes=primes)
         assert exc.value.reason == reason
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_primes_are_checked_once_per_table(self, monkeypatch, inline_pool, jobs):
+        # GridSpec checks --primes and keeps them sorted; rows take them as
+        # checked and never prove them again
+        monkeypatch.setattr(report.os, "cpu_count", lambda: 4)
+        calls = []
+        check = report._check_primes
+        monkeypatch.setattr(report, "_check_primes", lambda ps: calls.append(ps) or check(ps))
+        spec = GridSpec(n_range=(3, 9), k_range=None, m_range=(2, 40), primes=(5, 2, 5, 3),
+                        fmt="json", jobs=jobs)
+        assert spec.primes == (2, 3, 5)
+        rows = list(generate_table(spec))
+        assert calls == [(5, 2, 5, 3)]
+        assert inline_pool["started"] == ([2] if jobs == 2 else [])
+        points = list(report._grid_points(spec))
+        assert len(rows) == len(points) == 1365
+        for row, params in zip(rows, points):
+            assert json.loads(row) == report_to_dict(compute_report(params, (3, 5, 2)))
+
 
 class TestCli:
     def test_compute_json(self, capsys):
@@ -364,6 +384,17 @@ class TestCli:
 
     def test_invalid_primes_exit_2(self, capsys):
         assert main(["compute", "--n", "4", "--k", "2", "--m", "2", "--primes", "6"]) == 2
+
+    @pytest.mark.parametrize(
+        "exc, line", [(MemoryError(), "MemoryError"), (RuntimeError("disk on fire"), "disk on fire")]
+    )
+    def test_internal_error_names_what_failed(self, monkeypatch, capsys, exc, line):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_compute", failing)
+        assert main(["compute", "--n", "4", "--k", "2", "--m", "2"]) == 1
+        assert capsys.readouterr().err == f"internal error: {line}\n"
 
     def test_compute_past_the_interpreter_digit_cap(self, capsys):
         # Pontrjagin coefficients of n = 8808, k = 2 pass 4300 decimal digits,
