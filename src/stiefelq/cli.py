@@ -105,20 +105,21 @@ def _cmd_table(args: argparse.Namespace) -> int:
         fmt=args.format,
         jobs=_resolve_jobs(args.jobs),
     )
-    out = open(args.out, "wb") if args.out else sys.stdout.buffer
+    try:
+        out = open(args.out, "wb") if args.out else sys.stdout.buffer
+    except OSError as exc:
+        raise ParameterError(
+            "out-unwritable", f"cannot write {args.out!r}: {exc.strerror or exc}"
+        ) from exc
     rows = generate_table(spec)
     try:
         for row in rows:
             out.write(row)
             out.write(b"\n")
         out.flush()
-    except BrokenPipeError:
-        # The reader went away (``table ... | head``): stop without a message.
-        # Closing the generator cancels the pending rows; pointing stdout at
-        # devnull keeps the flush at interpreter exit from failing again.
-        rows.close()
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
+        # on an early stop (a closed pipe) this cancels the pending rows
+        rows.close()
         if args.out:
             out.close()
     return 0
@@ -149,6 +150,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader went away (``stiefelq ... | head``): stop without a
+        # message.  Pointing stdout at devnull keeps the flush at interpreter
+        # exit from failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ParameterError as exc:
         print(f"error: {exc} [{exc.reason}]", file=sys.stderr)
         return 2

@@ -31,11 +31,13 @@ results as extrapolated.
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, TypeVar
+from itertools import repeat
+from typing import Sequence, TypeVar
 
 from stiefelq.arith import is_prime
 from stiefelq.manifold import ManifoldParams
@@ -196,28 +198,43 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
 
     The list has length k(2n - k) + 1 exactly: the top class sits in the
     dimension of the manifold.  ``pres`` is the presentation for this (n, k).
+    It is the one-presentation call of the routine a report runs once for
+    all its primes, which expands the factor they share once.
 
-    The product is formed in one integer (Kronecker substitution): the
-    coefficient of t^i sits in the i-th slot of w bytes, where w is the byte
-    length of ``total_dimension(pres, k)``, rounded up to 1, 2, 4 or 8 when
-    it is at most 8.  Slot-width invariant: every partial product has
-    nonnegative coefficients summing to at most that total, so no slot ever
-    exceeds it and none carries into the next; a wider slot only leaves more
-    room.  The truncated series is one closed-form geometric sum, and each
-    exterior factor (1 + t^d) is one shift and add.  Slots of at most 8 bytes
-    are read back as one ``array``; wider ones with one ``int.from_bytes``
-    each.
+    In every case the polynomial is the odd run (1 + t^d), d = 2n-2k+1, ...,
+    2n-1, with at most the degree 2h - 1 left out, times a truncated series,
+    h being the degree-2 truncation exponent.  Outside COPRIME the series
+    times the degree-1 factor is 1 + t + ... + t^(2h-1) = (1 - t^(2h))/(1 - t):
+    G_2h(t) in TWO_MOD_FOUR, (1 + t) G_h(t^2) in the other two.  With Omega
+    the omitted degrees of all the presentations, the run without Omega is
+    the base B, expanded once; S = B/(1 - t) is formed once; a prime with h
+    is (1 - t^(2h)) S times (1 + t^d) for each other degree of Omega, and
+    COPRIME is B times all of Omega.
 
-    Only the low H = (slots + 1) // 2 slots are formed at all; Poincare
+    The products are formed in one integer each (Kronecker substitution):
+    the coefficient of t^i sits in the i-th slot of w bytes, where w is the
+    byte length of the largest ``total_dimension``, rounded up to 1, 2, 4 or
+    8 when it is at most 8.  No slot carries: every product formed is a
+    nonnegative polynomial summing to at most one presentation's total, and
+    each slot of S is a partial sum of B's coefficients, so at most 2^k,
+    which no total is below.  No slot borrows either: below t^H the
+    difference S - t^(2h) S agrees with the nonnegative polynomial
+    (1 - t^(2h))/(1 - t) B, whose coefficients fit their slots, so masking
+    the (possibly negative) integer to its low H slots, two's complement,
+    leaves exactly those coefficients.  Slots of at most 8 bytes are read
+    back as one ``array``; wider ones through ``int.from_bytes`` mapped over
+    ``re.findall`` of the slots, both at C level.
+
+    Only the low H = (dim + 2) // 2 slots are formed at all; Poincare
     duality gives the rest.  Shifts move slots only upward and no slot
-    carries, so the low H slots of the product depend only on the low H
-    slots of each factor: the series stops at its last term below t^H, and
-    every shift and add is masked back to H slots.
+    carries, so the low H slots of a product depend only on the low H slots
+    of its factors: every product is masked back to H slots, and so is S,
+    formed as ((B << 8wH) - B) // (2^(8w) - 1), B times 1 + t + ... + t^(H-1).
 
     Each factor is palindromic: (1 + t^d) of degree d, and the series
     1 + t^g + ... + t^(g(T - 1)) of degree g(T - 1).  A product of
     palindromes is a palindrome of the summed degree, and in every case that
-    sum is dim = k(2n - k), with h the degree-2 truncation exponent:
+    sum is dim = k(2n - k):
 
       COPRIME         the odd run 2n-2k+1, 2n-2k+3, ..., 2n-1 alone, which
                       sums to k(2n - k);
@@ -226,40 +243,55 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
       TWO_MOD_FOUR    2h - 1 for the series in y1 (T = 2h), plus the run
                       without 2h - 1.
 
-    So b_i = b_(dim - i), and the list is its own reverse.
+    So b_i = b_(dim - i), and each list is its own reverse.
     """
-    w = (total_dimension(pres, k).bit_length() + 7) // 8
+    return _poincare_polynomials((pres,), n, k)[0]
+
+
+def _poincare_polynomials(
+    presentations: Sequence[RingPresentation], n: int, k: int
+) -> list[list[int]]:
+    """``poincare_polynomial`` of each presentation of one (n, k), from one
+    expansion of the factor they share."""
+    w = (max(map(total_dimension, presentations, repeat(k))).bit_length() + 7) // 8
     if w <= 8:
         w = 1 << (w - 1).bit_length()
     bits = 8 * w
-    g = pres.poly_generator
-
-    def low_slots(half: int) -> list[int]:
-        mask = (1 << half * bits) - 1
-        if g is None:
-            packed = 1
+    length = k * (2 * n - k) + 1
+    half = (length + 1) // 2
+    mask = (1 << half * bits) - 1
+    omitted = {2 * p.deg2_truncation - 1 for p in presentations if p.deg2_truncation is not None}
+    base = 1
+    for deg in range(2 * n - 2 * k + 1, 2 * n, 2):
+        if deg not in omitted:
+            base = (base + (base << deg * bits)) & mask
+    if omitted:
+        series = (((base << half * bits) - base) // ((1 << bits) - 1)) & mask
+    polys = []
+    for pres in presentations:
+        h = pres.deg2_truncation
+        if h is None:
+            packed, rest = base, omitted
         else:
-            step = g.degree * bits
-            terms = min(g.truncation, -(-half // g.degree))
-            packed = ((1 << step * terms) - 1) // ((1 << step) - 1)
-        for deg in pres.exterior_degrees:
+            packed, rest = (series - (series << 2 * h * bits)) & mask, omitted - {2 * h - 1}
+        for deg in rest:
             packed = (packed + (packed << deg * bits)) & mask
         raw = packed.to_bytes(half * w, "little")
         if w > 8:
-            return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
-        slots = array(_ARRAY_CODES[w], raw)
-        if sys.byteorder == "big":
-            slots.byteswap()
-        return slots.tolist()
+            low = list(map(int.from_bytes, re.findall(b".{%d}" % w, raw, re.S), repeat("little")))
+        else:
+            slots = array(_ARRAY_CODES[w], raw)
+            if sys.byteorder == "big":
+                slots.byteswap()
+            low = slots.tolist()
+        polys.append(_palindrome(length, low))
+    return polys
 
-    return _palindrome(k * (2 * n - k) + 1, low_slots)
 
-
-def _palindrome(length: int, head: Callable[[int], list[_T]]) -> list[_T]:
+def _palindrome(length: int, low: list[_T]) -> list[_T]:
     """The palindrome of ``length`` items whose first (length + 1) // 2 items,
-    the middle one included when ``length`` is odd, are ``head`` of that count.
-    The mirrored half holds the same objects as the first."""
-    low = head((length + 1) // 2)
+    the middle one included when ``length`` is odd, are ``low``.  The
+    mirrored half holds the same objects as the first."""
     return low + low[: length // 2][::-1]
 
 

@@ -37,7 +37,7 @@ from stiefelq.modp import (
     RingPresentation,
     SquareRule,
     _palindrome,
-    poincare_polynomial,
+    _poincare_polynomials,
     presentation,
     total_dimension,
 )
@@ -117,18 +117,17 @@ def compute_report(
 def _compute_report(params: ManifoldParams, primes: tuple[int, ...] | None) -> InvariantReport:
     # ``primes`` is None or already through ``_check_primes``
     ps = default_primes(params.m) if primes is None else primes
-    cohomology = []
-    for p in ps:
-        pres = presentation(params, p)
-        coeffs = tuple(poincare_polynomial(pres, params.n, params.k))
-        cohomology.append(
-            CohomologyEntry(
-                p=p,
-                presentation=pres,
-                poincare=coeffs,
-                total_dimension=total_dimension(pres, params.k),
-            )
+    presentations = [presentation(params, p) for p in ps]
+    polys = _poincare_polynomials(presentations, params.n, params.k)
+    cohomology = tuple(
+        CohomologyEntry(
+            p=pres.p,
+            presentation=pres,
+            poincare=tuple(coeffs),
+            total_dimension=total_dimension(pres, params.k),
         )
+        for pres, coeffs in zip(presentations, polys)
+    )
     notes: tuple[str, ...] = ()
     if params.k == 1:
         notes = (
@@ -143,7 +142,7 @@ def _compute_report(params: ManifoldParams, primes: tuple[int, ...] | None) -> I
         params=params,
         basic=basic_invariants(params),
         torsion=torsion,
-        cohomology=tuple(cohomology),
+        cohomology=cohomology,
         char_classes=char_classes,
         span=span_report(params, char_classes=char_classes),
         notes=notes,
@@ -398,7 +397,7 @@ def _json_dossier(report: InvariantReport) -> str:
         coeffs = entry["poincare"]
         entry["poincare"] = []
         if coeffs == coeffs[::-1]:
-            strs = _palindrome(len(coeffs), lambda half: list(map(str, coeffs[:half])))
+            strs = _palindrome(len(coeffs), list(map(str, coeffs[: (len(coeffs) + 1) // 2])))
         else:
             strs = map(str, coeffs)
         lists.append(

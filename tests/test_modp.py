@@ -24,13 +24,22 @@ from stiefelq.modp import (
 PRIMES = (2, 3, 5, 7)
 CASES = CohomologyCase
 # above every n used here, so C(n, j) is a unit mod Q and the truncation
-# exponent of (n, k, Q) is n - k + 1
+# exponent of (n, k, Q) is n - k + 1; the same holds for Q2
 Q = 1000000000039
+Q2 = 1000000000061
 
 
 def _coeffs(n, k, m, p):
     pres = presentation(validate(n, k, m), p)
     return pres, poincare_polynomial(pres, n, k)
+
+
+def _shared(n, k, m, primes):
+    """The presentations of (n, k, m) at ``primes`` and their polynomials
+    from one shared expansion."""
+    params = validate(n, k, m)
+    pres = [presentation(params, p) for p in primes]
+    return pres, modp._poincare_polynomials(pres, n, k)
 
 
 def _naive_poincare(pres: RingPresentation, n: int, k: int) -> list[int]:
@@ -365,3 +374,87 @@ class TestPoincarePolynomial:
                 for group in buckets.values():
                     for other in group[1:]:
                         assert other == group[0]
+
+
+class TestSharedExpansion:
+    """One call for all of a report's presentations: the odd run without
+    every omitted degree is expanded once, and each prime's polynomial is
+    derived from it."""
+
+    def _check(self, pres, polys, n, k):
+        assert len(polys) == len(pres)
+        for p, coeffs in zip(pres, polys):
+            assert coeffs == _naive_poincare(p, n, k)
+            assert coeffs == poincare_polynomial(p, n, k)
+
+    @pytest.mark.parametrize(
+        "m, cases",
+        [
+            (30, {CASES.TWO_MOD_FOUR, CASES.ODD_DIVIDES, CASES.COPRIME}),
+            (60, {CASES.ZERO_MOD_FOUR, CASES.ODD_DIVIDES, CASES.COPRIME}),
+            (420, {CASES.ZERO_MOD_FOUR, CASES.ODD_DIVIDES, CASES.COPRIME}),
+        ],
+    )
+    def test_mixed_cases_match_naive(self, m, cases):
+        # p = 2 is in one of its two cases, 3 and 5 (and 7 for 420) divide m,
+        # 7 or 11 does not; k = 1 and 2 are included
+        most = 0
+        for n in range(2, 25):
+            for k in range(1, n):
+                pres, polys = _shared(n, k, m, (2, 3, 5, 7, 11))
+                assert {p.case for p in pres} == cases
+                self._check(pres, polys, n, k)
+                truncations = {p.deg2_truncation for p in pres} - {None}
+                most = max(most, len(truncations))
+        # some (n, k) has three or more different truncations, so three
+        # omitted degrees: each such prime adds back two left out by others
+        assert most >= 3
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [88, 89])
+    def test_small_k_at_large_n(self, n, k):
+        # the series (1 - t^2h) S reaches past the half and is cut
+        pres, polys = _shared(n, k, 420 * Q, (2, 3, 5, 7, 11, Q))
+        assert {p.case for p in pres} == {CASES.ZERO_MOD_FOUR, CASES.ODD_DIVIDES, CASES.COPRIME}
+        self._check(pres, polys, n, k)
+
+    @pytest.mark.parametrize(
+        "n, k, m, primes",
+        [
+            (30, 7, 3 * Q * Q2, (2, 3, Q, Q2)),  # Q and Q2: both h = n - k + 1
+            (9, 2, 30, (2, 3, 5, 7)),  # TWO_MOD_FOUR at 2 and ODD_DIVIDES at 5
+            (61, 40, 2 * Q * Q2, (2, 3, Q, Q2)),
+        ],
+    )
+    def test_primes_with_the_same_truncation(self, n, k, m, primes):
+        pres, polys = _shared(n, k, m, primes)
+        truncations = [p.deg2_truncation for p in pres if p.deg2_truncation is not None]
+        assert len(set(truncations)) < len(truncations)
+        self._check(pres, polys, n, k)
+        by_h = {}
+        for p, coeffs in zip(pres, polys):
+            if p.deg2_truncation is not None:
+                assert by_h.setdefault(p.deg2_truncation, coeffs) == coeffs
+
+    @pytest.mark.parametrize(
+        "n, k, m, primes", [(64, 63, 3, (2, 3)), (66, 63, 15, (2, 3, 5))]
+    )
+    def test_shared_width_is_the_widest(self, monkeypatch, n, k, m, primes):
+        # the COPRIME p = 2 alone has a total of 2^63, 8 bytes, read as one
+        # array; the others reach 9 bytes, so the shared call reads every
+        # slot at 9 bytes, through from_bytes
+        read = []
+
+        def recording_array(code, raw):
+            read.append(array(code).itemsize)
+            return array(code, raw)
+
+        monkeypatch.setattr(modp, "array", recording_array)
+        pres, polys = _shared(n, k, m, primes)
+        widths = [(total_dimension(p, k).bit_length() + 7) // 8 for p in pres]
+        assert widths[0] == 8 and max(widths) == 9
+        assert read == []
+        assert polys[0] == poincare_polynomial(pres[0], n, k)
+        assert read == [8]
+        for p, coeffs in zip(pres, polys):
+            assert coeffs == _naive_poincare(p, n, k)

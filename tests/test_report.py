@@ -3,6 +3,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import logging
+import os
 import subprocess
 import sys
 import time
@@ -489,6 +490,41 @@ class TestCli:
             proc.wait()
         assert proc.returncode == 0
         assert err == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["span", "--n", "140", "--k", "70", "--m", "30"],
+            ["compute", "--n", "12", "--k", "5", "--m", "6", "--format", "json"],
+        ],
+        ids=["span", "compute-json"],
+    )
+    def test_command_into_closed_pipe_exits_quietly(self, argv):
+        # `stiefelq ... | true`: the read end is closed before the command
+        # starts, so its first write fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "stiefelq", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+
+    @pytest.mark.parametrize("target", ["missing/grid.csv", "."], ids=["no-parent", "directory"])
+    def test_unwritable_out_exits_2_before_any_row(self, tmp_path, monkeypatch, capsys, target):
+        def no_rows(spec):
+            raise AssertionError("rows computed before --out was opened")
+
+        monkeypatch.setattr(cli, "generate_table", no_rows)
+        path = str(tmp_path / target)
+        assert main(["table", "--n", "3..4", "--m", "2..3", "--out", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path!r}: ")
+        assert err.strip().endswith("[out-unwritable]")
+        assert "internal error" not in err
 
     @pytest.mark.parametrize("extra", [[], ["--primes", "2305843009213693951"]])
     def test_compute_with_prime_2_61_minus_1_is_quick(self, extra):
