@@ -212,12 +212,19 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
     COPRIME is B times all of Omega.
 
     The products are formed in one integer each (Kronecker substitution):
-    the coefficient of t^i sits in the i-th slot of w bytes, where w is the
-    byte length of the largest ``total_dimension``, rounded up to 1, 2, 4 or
-    8 when it is at most 8.  No slot carries: every product formed is a
-    nonnegative polynomial summing to at most one presentation's total, and
-    each slot of S is a partial sum of B's coefficients, so at most 2^k,
-    which no total is below.  No slot borrows either: below t^H the
+    the coefficient of t^i sits in the i-th slot of w = (k - 1) // 8 + 1
+    bytes, rounded up to 1, 2, 4 or 8 when it is at most 8, so k <= 64
+    always has slots of at most 8 bytes.  No slot carries, because no slot
+    ever holds more than 2^(k-1), a k-bit number.  Outside COPRIME each
+    coefficient of the answer is a sum of 2h consecutive coefficients of the
+    run without 2h - 1, whose k - 1 factors sum to 2^(k-1).  The whole run
+    (COPRIME's answer) has only odd degrees, so the subsets of it that reach
+    degree i all have the parity of i: at most 2^(k-1) of the 2^k.  Every
+    partial product is coefficientwise at most one of these, since the
+    factors still to come are 1 + t^d: B's are part of the whole run, the
+    others part of one prime's answer.  Each slot of S is a partial sum of
+    B's coefficients, and B lacks at least one factor of the run, so it sums
+    to at most 2^(k-1).  No slot borrows either: below t^H the
     difference S - t^(2h) S agrees with the nonnegative polynomial
     (1 - t^(2h))/(1 - t) B, whose coefficients fit their slots, so masking
     the (possibly negative) integer to its low H slots, two's complement,
@@ -253,7 +260,7 @@ def _poincare_polynomials(
 ) -> list[list[int]]:
     """``poincare_polynomial`` of each presentation of one (n, k), from one
     expansion of the factor they share."""
-    w = (max(map(total_dimension, presentations, repeat(k))).bit_length() + 7) // 8
+    w = (k - 1) // 8 + 1
     if w <= 8:
         w = 1 << (w - 1).bit_length()
     bits = 8 * w

@@ -15,6 +15,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
 from stiefelq.arith import _decimal_to_int, _int_to_decimal, factorize, is_prime
@@ -242,6 +243,14 @@ def report_from_dict(data: dict) -> InvariantReport:
     torsion = TorsionProfile(orders=tuple(t["orders"]), height=t["height"])
     cohomology = []
     for e in data["cohomology"]:
+        poincare = tuple(e["poincare"])
+        # the JSON writer prints these through repr: a bool or str would
+        # come out as invalid JSON
+        bad = set(map(type, poincare)) - {int}
+        if bad:
+            raise ValueError(
+                f"poincare entries must be ints, got {sorted(t.__name__ for t in bad)}"
+            )
         pg = e["poly_generator"]
         pres = RingPresentation(
             p=e["p"],
@@ -255,7 +264,7 @@ def report_from_dict(data: dict) -> InvariantReport:
             CohomologyEntry(
                 p=e["p"],
                 presentation=pres,
-                poincare=tuple(e["poincare"]),
+                poincare=poincare,
                 total_dimension=e["total_dimension"],
             )
         )
@@ -376,42 +385,81 @@ def _text_dossier(report: InvariantReport) -> str:
     return "\n".join(lines)
 
 
-# In ``json.dumps(..., indent=2)`` a Poincare list has a fixed depth: its key
-# at 6 spaces, its items at 8, its closing bracket at 6.  No JSON string holds
-# a raw newline, so this key line occurs once per cohomology entry and
-# nowhere else, whatever the report's strings are.
-_POINCARE_KEY = '\n      "poincare": '
-_POINCARE_ITEM_SEP = ",\n" + " " * 8
+def _json_write(value: object, indent: str, out: list[str], int_lists: set[int]) -> None:
+    """Append ``json.dumps(value, indent=2)`` to ``out`` in pieces, for a value
+    that starts on a line indented by ``indent`` (a newline, then spaces).
+
+    Strings go through the C escaper that ``json.dumps`` uses for
+    ``ensure_ascii``; exact ints through ``repr``; ``True``, ``False`` and
+    ``None`` are literals; any other scalar goes through ``json.dumps``.  A
+    list whose ``id`` is in ``int_lists`` holds exact ints only and is joined
+    in one step.  When it reads the same backwards, only its first half is
+    converted; the check is made, never assumed, since a loaded list need
+    not be a palindrome."""
+    if type(value) is int:
+        out.append(repr(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            _json_write(item, inner, out, int_lists)
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if id(value) in int_lists:
+            if value == value[::-1]:
+                half = list(map(repr, value[: (len(value) + 1) // 2]))
+                strs = _palindrome(len(value), half)
+            else:
+                strs = map(repr, value)
+            out += "[" + inner, ("," + inner).join(strs), indent + "]"
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            _json_write(item, inner, out, int_lists)
+        out.append(indent + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        out.append(json.dumps(value))
 
 
-def _json_dossier(report: InvariantReport) -> str:
-    """``json.dumps(report_to_dict(report), indent=2)``, byte for byte, with
-    each Poincare list joined in one step instead of going through the
-    pure-Python indented encoder item by item.  A list that reads the same
-    backwards (every computed one, by Poincare duality) has only its first
-    half converted to strings; the check is made, never assumed, since
-    ``report_from_json`` accepts any list."""
+def _json_dossier(report: InvariantReport) -> list[str]:
+    """The pieces of ``json.dumps(report_to_dict(report), indent=2) + "\\n"``,
+    byte for byte, from one pass of ``_json_write``.  The Poincare lists
+    hold exact ints (computed ones by construction, loaded ones checked by
+    ``report_from_dict``), and every computed one reads the same backwards
+    by Poincare duality, so only its first half is converted."""
     data = report_to_dict(report)
-    lists = []
-    for entry in data["cohomology"]:
-        coeffs = entry["poincare"]
-        entry["poincare"] = []
-        if coeffs == coeffs[::-1]:
-            strs = _palindrome(len(coeffs), list(map(str, coeffs[: (len(coeffs) + 1) // 2])))
-        else:
-            strs = map(str, coeffs)
-        lists.append(
-            "[\n        " + _POINCARE_ITEM_SEP.join(strs) + "\n      ]" if coeffs else "[]"
-        )
-    head, *tails = json.dumps(data, indent=2).split(_POINCARE_KEY + "[]")
-    return head + "".join(_POINCARE_KEY + c + t for c, t in zip(lists, tails))
+    out: list[str] = []
+    _json_write(data, "\n", out, {id(e["poincare"]) for e in data["cohomology"]})
+    out.append("\n")
+    return out
 
 
 def render(report: InvariantReport, fmt: str) -> bytes:
     """Serialize a report: ``json`` (indented, fixed key order), ``csv_row``
-    (one header-less line) or ``text`` (human-readable dossier)."""
+    (one header-less line) or ``text`` (human-readable dossier).  JSON is the
+    bytes of ``json.dumps(report_to_dict(report), indent=2)`` plus a newline,
+    written in pieces, joined once and encoded once."""
     if fmt == "json":
-        return (_json_dossier(report) + "\n").encode()
+        return "".join(_json_dossier(report)).encode()
     if fmt == "csv_row":
         return _csv_row(report).encode()
     if fmt == "text":

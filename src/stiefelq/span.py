@@ -63,50 +63,36 @@ _LIE_REASON = (
 )
 
 
-def _lower_bound_chain(n: int, k: int) -> tuple[int, str]:
-    """Lower bound L(n, k) with the winning rule, built along the k-recursion.
+_CIRCLE_BASE_REASON = (
+    "strictly above the stable span of the circle-quotient base, which is "
+    ">= dim - 2n + 1; the strict excess rounds up to dim - 2n + 2"
+)
+_EVEN_N_REASON = "even n: strictly above dim - 2n + 3, rounding up to dim - 2n + 4"
 
-    L(n, 1) = 1; for 2 <= k <= n - 2 the candidates are k^2, dim - 2n + 2
-    (dim - 2n + 4 for even n) and L(n, k - 1) + 1; for k = n - 1 the space is
-    parallelizable and L = dim (n = 2 included: the full-frame rule beats the
-    k = 1 base there).
+
+def _lower_bound_rule(n: int, k: int) -> tuple[int, str]:
+    """The lower bound on the span with the rule that gives it.
+
+    k = n - 1: the space is parallelizable, so the bound is dim (n = 2
+    included, where k = 1).  k = 1: the bound is 1.  For 2 <= k <= n - 2 the
+    candidates are k^2, f(k) = dim - 2n + 2 (dim - 2n + 4 for even n) and
+    the bound at k - 1 plus 1, and f(k) always wins.  It exceeds k^2 by
+    2(k - 1)(n - k - 1) > 0.  At k = 2 it is 2n - 2 >= 6 against 1 + 1, and
+    from there it grows by 2n - 2k + 1 >= 5 per step in k, while the
+    candidate from k - 1 grows by 1.
     """
-    val, why = 1, _BASE_REASON
-    if k == n - 1 == 1:
-        val, why = 2 * n - 1, _LIE_REASON
-    for kk in range(2, k + 1):
-        dim = kk * (2 * n - kk)
-        if kk == n - 1:
-            val, why = dim, _LIE_REASON
-            continue
-        cands = [
-            (kk * kk, "k^2 trivial summands split off the tangent bundle"),
-            (
-                dim - 2 * n + 2,
-                "strictly above the stable span of the circle-quotient base, "
-                "which is >= dim - 2n + 1; the strict excess rounds up to "
-                "dim - 2n + 2",
-            ),
-            (
-                val + 1,
-                "strictly above the stable span of the (k-1)-frame quotient; "
-                "its own lower bound plus 1",
-            ),
-        ]
-        if n % 2 == 0:
-            cands.append(
-                (
-                    dim - 2 * n + 4,
-                    "even n: strictly above dim - 2n + 3, rounding up to "
-                    "dim - 2n + 4",
-                )
-            )
-        val, why = max(cands, key=lambda c: c[0])
-    return val, why
+    dim = k * (2 * n - k)
+    if k == n - 1:
+        return dim, _LIE_REASON
+    if k == 1:
+        return 1, _BASE_REASON
+    if n % 2 == 0:
+        return dim - 2 * n + 4, _EVEN_N_REASON
+    return dim - 2 * n + 2, _CIRCLE_BASE_REASON
 
 
 def span_lower_bound(params: ManifoldParams) -> int:
-    return _lower_bound_chain(params.n, params.k)[0]
+    return _lower_bound_rule(params.n, params.k)[0]
 
 
 def _upper_bound_rule(params: ManifoldParams) -> tuple[int, str]:
@@ -218,7 +204,7 @@ def span_report(
     line naming the mechanism that produced it.  A caller that already holds
     the char classes of ``params`` passes them in so they are not rebuilt."""
     n, k = params.n, params.k
-    lower, why = _lower_bound_chain(n, k)
+    lower, why = _lower_bound_rule(n, k)
     prov = [f"span lower bound {lower}: {why}"]
 
     upper, why = _upper_bound_rule(params)

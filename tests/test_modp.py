@@ -224,7 +224,7 @@ class TestPoincarePolynomial:
     @pytest.mark.parametrize(
         "n, k, m, p, total",
         [
-            (18, 4, Q, Q, 15 * 2**4),  # slots of 1 byte
+            (18, 4, Q, Q, 15 * 2**4),  # totals of 1 byte
             (8, 7, 3, 2, 2**7),
             (19, 4, Q, Q, 2**8),  # 2 bytes
             (9, 8, 3, 2, 2**8),
@@ -233,19 +233,19 @@ class TestPoincarePolynomial:
             (16, 15, 3, 2, 2**15),
             (27, 12, Q, Q, 2**16),  # 3 bytes
             (17, 16, 3, 2, 2**16),
-            (34, 20, Q, Q, 15 * 2**20),  # 3 bytes, read as 4
+            (34, 20, Q, Q, 15 * 2**20),  # 3 bytes
             (24, 23, 3, 2, 2**23),
             (35, 20, Q, Q, 2**24),  # 4 bytes
             (25, 24, 3, 2, 2**24),
             (42, 28, Q, Q, 15 * 2**28),
             (32, 31, 3, 2, 2**31),
-            (43, 28, Q, Q, 2**32),  # 5 bytes, read as 8
+            (43, 28, Q, Q, 2**32),  # 5 bytes
             (33, 32, 3, 2, 2**32),
             (50, 36, Q, Q, 15 * 2**36),
             (40, 39, 3, 2, 2**39),
-            (51, 36, Q, Q, 2**40),  # 6 bytes, read as 8
+            (51, 36, Q, Q, 2**40),  # 6 bytes
             (41, 40, 3, 2, 2**40),
-            (66, 52, Q, Q, 15 * 2**52),  # 7 bytes, read as 8
+            (66, 52, Q, Q, 15 * 2**52),  # 7 bytes
             (56, 55, 3, 2, 2**55),
             (67, 52, Q, Q, 2**56),  # 8 bytes
             (57, 56, 3, 2, 2**56),
@@ -256,22 +256,23 @@ class TestPoincarePolynomial:
         ],
     )
     def test_slot_width_boundaries(self, n, k, m, p, total):
-        # the slot width is the byte length of total_dimension, rounded up to
-        # 1, 2, 4 or 8 up to 8 bytes; these sit just below and at 2^8, 2^16,
-        # 2^24, 2^32, 2^40, 2^56 and 2^64, where it grows by one byte
+        # totals just below and at 2^8, 2^16, 2^24, 2^32, 2^40, 2^56 and
+        # 2^64, where their byte length grows by one; the slots hold the
+        # coefficients, which stay below the totals
         pres, coeffs = _coeffs(n, k, m, p)
         assert total_dimension(pres, k) == total == sum(coeffs)
         assert coeffs == _naive_poincare(pres, n, k)
 
     @pytest.mark.parametrize(
-        "bits, itemsize",
+        "k, itemsize",
         [(8, 1), (9, 2), (16, 2), (17, 4), (24, 4), (25, 4), (32, 4), (33, 8),
          (40, 8), (41, 8), (56, 8), (57, 8), (64, 8)],
     )
-    def test_slots_are_read_at_the_rounded_width(self, monkeypatch, bits, itemsize):
-        # (k + 1, k, Q) at p = Q has truncation exponent 2, so total_dimension
-        # is 2^(k + 1), a bits-bit number; slots of up to 8 bytes are read as
-        # one array of the next item size among 1, 2, 4 and 8
+    def test_slots_are_read_at_the_rounded_width(self, monkeypatch, k, itemsize):
+        # no coefficient exceeds 2^(k - 1), a k-bit number, so slots are
+        # (k - 1) // 8 + 1 bytes, read as one array of the next item size
+        # among 1, 2, 4 and 8; (k + 1, k, Q) at p = Q has truncation
+        # exponent 2, so its total_dimension 2^(k + 1) is two bits wider
         read = []
 
         def recording_array(code, raw):
@@ -279,9 +280,8 @@ class TestPoincarePolynomial:
             return array(code, raw)
 
         monkeypatch.setattr(modp, "array", recording_array)
-        k = bits - 2
         pres, coeffs = _coeffs(k + 1, k, Q, Q)
-        assert total_dimension(pres, k).bit_length() == bits
+        assert max(coeffs) <= 2 ** (k - 1) < total_dimension(pres, k)
         assert read == [itemsize]
         assert coeffs == _naive_poincare(pres, k + 1, k)
 
@@ -299,8 +299,8 @@ class TestPoincarePolynomial:
             (88, 44),  # dim even: one middle slot
             (89, 45),  # dim odd: the halves meet between two slots
             (90, 46),
-            (90, 64),  # slots of 9 bytes or more in every case
-            (91, 65),
+            (90, 64),  # totals of 9 bytes or more, slots of 8
+            (91, 65),  # slots of 9 bytes
         ],
     )
     @pytest.mark.parametrize(
@@ -437,12 +437,24 @@ class TestSharedExpansion:
                 assert by_h.setdefault(p.deg2_truncation, coeffs) == coeffs
 
     @pytest.mark.parametrize(
-        "n, k, m, primes", [(64, 63, 3, (2, 3)), (66, 63, 15, (2, 3, 5))]
+        "n, k, m, primes, itemsize",
+        [
+            (64, 63, 3, (2, 3), 8),  # totals of 8 and 9 bytes
+            (66, 63, 15, (2, 3, 5), 8),
+            (10, 8, 30, (2, 3, 5, 7), 1),  # TWO_MOD_FOUR, ODD_DIVIDES, COPRIME
+            (11, 9, 60, (2, 3, 5, 7), 2),  # ZERO_MOD_FOUR, ODD_DIVIDES, COPRIME
+            (18, 16, 30, (2, 3, 5, 7), 2),
+            (19, 17, 60, (2, 3, 5, 7), 4),
+            (34, 32, 30, (2, 3, 5, 7), 4),
+            (35, 33, 60, (2, 3, 5, 7), 8),
+            (66, 64, 30, (2, 3, 5, 7), 8),
+            (67, 65, 60, (2, 3, 5, 7), None),  # 9 bytes, read by from_bytes
+        ],
     )
-    def test_shared_width_is_the_widest(self, monkeypatch, n, k, m, primes):
-        # the COPRIME p = 2 alone has a total of 2^63, 8 bytes, read as one
-        # array; the others reach 9 bytes, so the shared call reads every
-        # slot at 9 bytes, through from_bytes
+    def test_shared_width_is_the_widest(self, monkeypatch, n, k, m, primes, itemsize):
+        # the slot width follows k alone, so every presentation of one call,
+        # COPRIME (total 2^k) or not (total 2h 2^(k-1)), is read at the same
+        # width, in the shared call and in each one-presentation call
         read = []
 
         def recording_array(code, raw):
@@ -451,10 +463,27 @@ class TestSharedExpansion:
 
         monkeypatch.setattr(modp, "array", recording_array)
         pres, polys = _shared(n, k, m, primes)
-        widths = [(total_dimension(p, k).bit_length() + 7) // 8 for p in pres]
-        assert widths[0] == 8 and max(widths) == 9
-        assert read == []
-        assert polys[0] == poincare_polynomial(pres[0], n, k)
-        assert read == [8]
+        cases = {p.case for p in pres}
+        assert CASES.COPRIME in cases and len(cases) > 1
+        each = [itemsize] if itemsize else []
+        assert read == each * len(pres)
         for p, coeffs in zip(pres, polys):
+            read.clear()
+            assert coeffs == poincare_polynomial(p, n, k)
+            assert read == each
             assert coeffs == _naive_poincare(p, n, k)
+            assert max(coeffs) <= 2 ** (k - 1)
+
+    @pytest.mark.parametrize(
+        "n, k, m, primes",
+        [
+            (6, 2, 6, (2, 3, 5)),  # h = n at p = 2 and 3: coefficients of 2
+            (12, 2, 60, (2, 3, 5, 7)),
+            (7, 1, 35, (2, 5, 7)),  # k = 1: every coefficient is 1
+        ],
+    )
+    def test_coefficients_reach_the_slot_bound(self, n, k, m, primes):
+        # 2^(k - 1), the bound the slot width rests on, is met exactly
+        pres, polys = _shared(n, k, m, primes)
+        assert max(map(max, polys)) == 2 ** (k - 1)
+        self._check(pres, polys, n, k)

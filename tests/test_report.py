@@ -235,6 +235,109 @@ class TestRender:
             render(compute_report(validate(4, 2, 2)), "yaml")
 
 
+class TestJsonWriter:
+    """``render(..., "json")`` writes the report in one pass of its own; every
+    case must give the bytes of the indented standard-library dump."""
+
+    @staticmethod
+    def _assert_dump_bytes(rep):
+        expected = (json.dumps(report_to_dict(rep), indent=2) + "\n").encode()
+        assert render(rep, "json") == expected
+
+    @staticmethod
+    def _loaded(edit):
+        data = report_to_dict(compute_report(validate(9, 4, 6), (2, 3, 5)))
+        edit(data)
+        return report.report_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "n, k, m, primes",
+        [
+            (138, 86, 2548, None),  # 11-byte slots, read by from_bytes
+            (60, 1, 30, (2, 3, 7)),  # k = 1 with explicit primes
+            (20, 9, 12, (2, 3, 5)),  # ZERO_MOD_FOUR, ODD_DIVIDES, COPRIME
+            (20, 9, 30, (2, 3, 7)),  # TWO_MOD_FOUR, ODD_DIVIDES, COPRIME
+            (41, 20, 6 * 1000000000039, (2, 3, 1000000000039)),
+        ],
+    )
+    def test_computed_reports(self, n, k, m, primes):
+        self._assert_dump_bytes(compute_report(validate(n, k, m), primes))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "caf\u00e9 \u65e5\u672c \U0001f600",  # non-ASCII, astral
+            "line\u2028separator\u2029",
+            "\x00\x01\x1f\x7f\t\r\n\b\f",  # control characters
+            'quote " and backslash \\ and \\u0041',
+            "",
+        ],
+    )
+    def test_loaded_strings(self, text):
+        def edit(data):
+            data["notes"] = [text, text + "!"]
+            data["span"]["provenance"] = [text]
+            # a presentation's rendering is rebuilt from its loaded fields
+            data["cohomology"][0]["p"] = text
+            data["cohomology"][1]["exterior_degrees"][0] = text
+
+        rep = self._loaded(edit)
+        assert text in rep.cohomology[0].presentation.render()
+        self._assert_dump_bytes(rep)
+
+    def test_loaded_empty_lists(self):
+        def edit(data):
+            data["notes"] = []
+            data["cohomology"] = []
+            data["torsion"]["orders"] = []
+            data["char_classes"]["pontrjagin"] = []
+            data["char_classes"]["stiefel_whitney"] = []
+            data["span"]["provenance"] = []
+
+        self._assert_dump_bytes(self._loaded(edit))
+
+    def test_loaded_floats_and_negative_ints(self):
+        def edit(data):
+            b = data["basic"]
+            b["dimension"], b["pi1_order"] = 1.5, float("nan")
+            b["euler_characteristic"], b["picard_order"] = float("inf"), float("-inf")
+            data["torsion"]["height"] = -3
+            data["span"]["span_lower"], data["span"]["span_upper"] = -1, -0.0
+            term = data["char_classes"]["pontrjagin"][0]
+            term["modulus"], term["reduced"] = -7, 1e300
+            data["cohomology"][0]["total_dimension"] = -(10**30)
+
+        self._assert_dump_bytes(self._loaded(edit))
+
+    def test_loaded_containers_in_scalar_fields(self):
+        # report_from_dict does not check these fields, so the writer meets
+        # whatever JSON put there, empty containers and nesting included; only
+        # the cohomology entries' Poincare lists are known to hold ints
+        def edit(data):
+            b = data["basic"]
+            b["dimension"], b["pi1_order"] = {}, []
+            b["orientable"] = {"a": [{}, [], None, True], "poincare": [True, "x", True]}
+            data["torsion"]["height"] = None
+
+        self._assert_dump_bytes(self._loaded(edit))
+
+    @pytest.mark.parametrize("entries", [[True], ["1"], [1.0], [True, "x", 1.5, "x", True]])
+    def test_loader_rejects_non_int_poincare_entries(self, entries):
+        # printed through repr, these would give True and an unquoted x:
+        # not JSON at all
+        data = report_to_dict(compute_report(validate(4, 2, 6)))
+        data["cohomology"][0]["poincare"] = entries
+        with pytest.raises(ValueError, match="poincare entries must be ints"):
+            report.report_from_dict(data)
+
+    def test_loader_keeps_negative_poincare_entries(self):
+        data = report_to_dict(compute_report(validate(4, 2, 6)))
+        data["cohomology"][0]["poincare"] = [-3, 0, 10**25, 0, -3]
+        loaded = report.report_from_dict(data)
+        assert loaded.cohomology[0].poincare == (-3, 0, 10**25, 0, -3)
+        assert json.loads(render(loaded, "json")) == data
+
+
 class TestTable:
     def test_ten_row_example(self):
         spec = GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 3))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from stiefelq import span
 from stiefelq.manifold import ParameterError, validate
 from stiefelq.span import (
     TriState,
@@ -11,6 +12,48 @@ from stiefelq.span import (
     span_report,
     span_upper_bound,
 )
+
+
+def _lower_bound_chain(n):
+    """The lower bound built along the k-recursion, as (value, reason) for
+    k = 1, ..., n - 1: L(n, 1) = 1; for 2 <= k <= n - 2 the largest of k^2,
+    dim - 2n + 2 (dim - 2n + 4 for even n) and L(n, k - 1) + 1, the first
+    listed on a tie; for k = n - 1 the space is parallelizable and L = dim
+    (n = 2 included: the full-frame rule beats the k = 1 base there)."""
+    val, why = 1, span._BASE_REASON
+    if n == 2:
+        val, why = 3, span._LIE_REASON
+    chain = [(val, why)]
+    for k in range(2, n):
+        dim = k * (2 * n - k)
+        if k == n - 1:
+            val, why = dim, span._LIE_REASON
+        else:
+            cands = [
+                (k * k, "k^2 trivial summands split off the tangent bundle"),
+                (
+                    dim - 2 * n + 2,
+                    "strictly above the stable span of the circle-quotient base, "
+                    "which is >= dim - 2n + 1; the strict excess rounds up to "
+                    "dim - 2n + 2",
+                ),
+                (
+                    val + 1,
+                    "strictly above the stable span of the (k-1)-frame quotient; "
+                    "its own lower bound plus 1",
+                ),
+            ]
+            if n % 2 == 0:
+                cands.append(
+                    (
+                        dim - 2 * n + 4,
+                        "even n: strictly above dim - 2n + 3, rounding up to "
+                        "dim - 2n + 4",
+                    )
+                )
+            val, why = max(cands, key=lambda c: c[0])
+        chain.append((val, why))
+    return chain
 
 
 class TestTriState:
@@ -38,6 +81,15 @@ class TestLowerBound:
             assert span_lower_bound(validate(6, 3, m)) == span_lower_bound(
                 validate(6, 3, 2)
             )
+
+    def test_closed_form_matches_the_chain(self):
+        # every 2 <= n <= 400 and 1 <= k < n: 79,800 pairs, value and reason
+        pairs = 0
+        for n in range(2, 401):
+            for k, expected in enumerate(_lower_bound_chain(n), start=1):
+                assert span._lower_bound_rule(n, k) == expected, (n, k)
+                pairs += 1
+        assert pairs == 79800
 
     def test_monotone_in_k(self):
         for n in range(3, 21):
