@@ -11,6 +11,8 @@ coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Iterator
 
 from stiefelq.manifold import ManifoldParams
 from stiefelq.modp import truncation_exponent
@@ -51,46 +53,52 @@ class CharClassReport:
     all_sw_vanish: bool
 
 
-def stiefel_whitney_classes(params: ManifoldParams) -> tuple[StiefelWhitneyTerm, ...]:
-    """Even-degree Stiefel-Whitney terms.
+def _stiefel_whitney_terms(params: ManifoldParams) -> Iterator[StiefelWhitneyTerm]:
+    """The even-degree Stiefel-Whitney terms, in degree order.
 
     For odd m the degree-1 class is zero; for m = 0 (mod 4) its square is
-    zero.  Either way the total class is 1 and the list is empty.  For
+    zero.  Either way the total class is 1 and there are no terms.  For
     m = 2 (mod 4) the term in degree 2j lives below the mod-2 truncation
     degree and is present iff C(nk, j) is odd, that is (Lucas) iff the binary
     digits of j are a subset of those of nk.
     """
     m = params.m
     if m % 2 == 1 or m % 4 == 0:
-        return ()
+        return
     nk = params.n * params.k
     bound = 2 * truncation_exponent(params.n, params.k, 2)
     # exactly the range 2j < bound
-    return tuple(
-        StiefelWhitneyTerm(degree=2 * j, present=j & ~nk == 0)
-        for j in range(1, (bound + 1) // 2)
-    )
+    for j in range(1, (bound + 1) // 2):
+        yield StiefelWhitneyTerm(degree=2 * j, present=j & ~nk == 0)
+
+
+def stiefel_whitney_classes(params: ManifoldParams) -> tuple[StiefelWhitneyTerm, ...]:
+    """All even-degree Stiefel-Whitney terms; empty when the total class is 1."""
+    return tuple(_stiefel_whitney_terms(params))
+
+
+def _pontrjagin_terms(params: ManifoldParams, orders: Iterable[int]) -> Iterator[PontrjaginTerm]:
+    """The Pontrjagin terms j = 1, 2, ..., n/2 in turn (the rest vanish
+    outright).  ``orders`` gives the orders of y^r, r = 1, 2, ..., for
+    ``params``; term j reads them only up to y^(2j), its modulus."""
+    nk = params.n * params.k
+    raw = 1
+    for j, modulus in enumerate(islice(orders, 1, None, 2), start=1):
+        raw = raw * (nk - j + 1) // j  # C(nk, j) from C(nk, j - 1), exactly
+        reduced = raw % modulus
+        yield PontrjaginTerm(
+            j=j, raw_coefficient=raw, modulus=modulus, reduced=reduced, is_zero=reduced == 0
+        )
 
 
 def char_class_report(params: ManifoldParams, profile: TorsionProfile) -> CharClassReport:
-    """All Pontrjagin terms for 1 <= j <= n/2 (the rest vanish outright) plus
-    the Stiefel-Whitney terms and the two summary flags.  ``profile`` is the
-    torsion profile of ``params``; it supplies every modulus."""
-    nk = params.n * params.k
-    raw = 1
-    pont = []
-    for j in range(1, params.n // 2 + 1):
-        raw = raw * (nk - j + 1) // j  # C(nk, j) from C(nk, j - 1), exactly
-        modulus = profile.orders[2 * j - 1]  # 2j <= n: the order of y^(2j)
-        reduced = raw % modulus
-        pont.append(
-            PontrjaginTerm(
-                j=j, raw_coefficient=raw, modulus=modulus, reduced=reduced, is_zero=reduced == 0
-            )
-        )
+    """All Pontrjagin terms for 1 <= j <= n/2 plus the Stiefel-Whitney terms
+    and the two summary flags.  ``profile`` is the torsion profile of
+    ``params``; it supplies every modulus."""
+    pont = tuple(_pontrjagin_terms(params, profile.orders))
     sw = stiefel_whitney_classes(params)
     return CharClassReport(
-        pontrjagin=tuple(pont),
+        pontrjagin=pont,
         stiefel_whitney=sw,
         all_pontrjagin_vanish=all(t.is_zero for t in pont),
         all_sw_vanish=not any(t.present for t in sw),

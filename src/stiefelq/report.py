@@ -169,6 +169,16 @@ def _presentation_dict(pres: RingPresentation) -> dict:
 
 
 def report_to_dict(report: InvariantReport) -> dict:
+    """The JSON schema of a report as plain dicts, lists and scalars."""
+    data = _report_dict(report)
+    for e in data["cohomology"]:
+        e["poincare"] = list(e["poincare"])
+    return data
+
+
+def _report_dict(report: InvariantReport) -> dict:
+    """``report_to_dict`` with each Poincare polynomial left as the report's
+    own tuple, not copied; ``json`` writes a tuple exactly as a list."""
     p, b, s = report.params, report.basic, report.span
     return {
         "schema_version": SCHEMA_VERSION,
@@ -189,7 +199,7 @@ def report_to_dict(report: InvariantReport) -> dict:
         "cohomology": [
             {
                 **_presentation_dict(e.presentation),
-                "poincare": list(e.poincare),
+                "poincare": e.poincare,
                 "total_dimension": e.total_dimension,
             }
             for e in report.cohomology
@@ -225,6 +235,14 @@ def report_to_dict(report: InvariantReport) -> dict:
     }
 
 
+def _bool(section: dict, name: str, key: str) -> bool:
+    # the text dossier prints these through a {True, False} lookup
+    value = section[key]
+    if type(value) is not bool:
+        raise ValueError(f"{name}.{key} must be a bool, got {type(value).__name__}")
+    return value
+
+
 def report_from_dict(data: dict) -> InvariantReport:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version: {data.get('schema_version')!r}")
@@ -234,10 +252,10 @@ def report_from_dict(data: dict) -> InvariantReport:
         dimension=b["dimension"],
         pi1_order=b["pi1_order"],
         euler_characteristic=b["euler_characteristic"],
-        orientable=b["orientable"],
+        orientable=_bool(b, "basic", "orientable"),
         picard_order=b["picard_order"],
-        almost_complex_guaranteed=b["almost_complex_guaranteed"],
-        complex_structure_guaranteed=b["complex_structure_guaranteed"],
+        almost_complex_guaranteed=_bool(b, "basic", "almost_complex_guaranteed"),
+        complex_structure_guaranteed=_bool(b, "basic", "complex_structure_guaranteed"),
     )
     t = data["torsion"]
     torsion = TorsionProfile(orders=tuple(t["orders"]), height=t["height"])
@@ -284,15 +302,15 @@ def report_from_dict(data: dict) -> InvariantReport:
             StiefelWhitneyTerm(degree=t["degree"], present=t["present"])
             for t in c["stiefel_whitney"]
         ),
-        all_pontrjagin_vanish=c["all_pontrjagin_vanish"],
-        all_sw_vanish=c["all_sw_vanish"],
+        all_pontrjagin_vanish=_bool(c, "char_classes", "all_pontrjagin_vanish"),
+        all_sw_vanish=_bool(c, "char_classes", "all_sw_vanish"),
     )
     s = data["span"]
     span = SpanReport(
         span_lower=s["span_lower"],
         span_upper=s["span_upper"],
         stable_span_lower=s["stable_span_lower"],
-        span_eq_stable_guaranteed=s["span_eq_stable_guaranteed"],
+        span_eq_stable_guaranteed=_bool(s, "span", "span_eq_stable_guaranteed"),
         parallelizable=TriState(s["parallelizable"]),
         stably_parallelizable=TriState(s["stably_parallelizable"]),
         provenance=tuple(s["provenance"]),
@@ -446,7 +464,7 @@ def _json_dossier(report: InvariantReport) -> list[str]:
     hold exact ints (computed ones by construction, loaded ones checked by
     ``report_from_dict``), and every computed one reads the same backwards
     by Poincare duality, so only its first half is converted."""
-    data = report_to_dict(report)
+    data = _report_dict(report)
     out: list[str] = []
     _json_write(data, "\n", out, {id(e["poincare"]) for e in data["cohomology"]})
     out.append("\n")
@@ -523,7 +541,7 @@ def _table_row(params: ManifoldParams, primes: tuple[int, ...] | None, fmt: str)
     if fmt == "csv":
         return render(report, "csv_row")
     # one compact JSON object per row
-    return json.dumps(report_to_dict(report), separators=(",", ":")).encode()
+    return json.dumps(_report_dict(report), separators=(",", ":")).encode()
 
 
 def _table_rows(

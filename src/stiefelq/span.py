@@ -20,11 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
+from typing import Iterable
 
 from stiefelq.arith import _int_to_decimal, radon_hurwitz
-from stiefelq.charclass import CharClassReport, char_class_report
+from stiefelq.charclass import (
+    CharClassReport,
+    PontrjaginTerm,
+    StiefelWhitneyTerm,
+    _pontrjagin_terms,
+    _stiefel_whitney_terms,
+)
 from stiefelq.manifold import ManifoldParams, ParameterError
-from stiefelq.torsion import torsion_profile
+from stiefelq.torsion import _orders
 
 __all__ = [
     "TriState",
@@ -135,12 +142,17 @@ def span_eq_stable_guaranteed(params: ManifoldParams) -> bool:
     return _equality_rule(params)[0]
 
 
-def _verdicts(params: ManifoldParams, classes: CharClassReport) -> tuple[TriState, TriState, str]:
+def _verdicts(
+    params: ManifoldParams,
+    pontrjagin: Iterable[PontrjaginTerm],
+    stiefel_whitney: Iterable[StiefelWhitneyTerm],
+) -> tuple[TriState, TriState, str]:
     """(stably_parallelizable, parallelizable, provenance line), read off the
-    char classes of ``params``."""
+    char class terms of ``params`` in order.  It returns at the first nonzero
+    term, so terms made lazily are never made past it."""
     if params.k == params.n - 1:
         return TriState.YES, TriState.YES, f"verdicts YES: {_LIE_REASON}"
-    for t in classes.pontrjagin:
+    for t in pontrjagin:
         if not t.is_zero:
             return (
                 TriState.NO,
@@ -149,7 +161,7 @@ def _verdicts(params: ManifoldParams, classes: CharClassReport) -> tuple[TriStat
                 f"{_int_to_decimal(t.raw_coefficient)} = {t.reduced} "
                 f"(mod {t.modulus}), nonzero",
             )
-    for t in classes.stiefel_whitney:
+    for t in stiefel_whitney:
         if t.present:
             return (
                 TriState.NO,
@@ -202,7 +214,10 @@ def span_report(
 ) -> SpanReport:
     """Assemble every implemented bound and verdict, each with a provenance
     line naming the mechanism that produced it.  A caller that already holds
-    the char classes of ``params`` passes them in so they are not rebuilt."""
+    the char classes of ``params`` passes them in so they are not rebuilt.
+    Without them, the torsion orders and the char class terms are made one
+    at a time and read only up to the verdict: the first nonzero term ends
+    the work."""
     n, k = params.n, params.k
     lower, why = _lower_bound_rule(n, k)
     prov = [f"span lower bound {lower}: {why}"]
@@ -236,8 +251,11 @@ def span_report(
             )
 
     if char_classes is None:
-        char_classes = char_class_report(params, torsion_profile(params))
-    stably, plain, verdict_why = _verdicts(params, char_classes)
+        pontrjagin: Iterable[PontrjaginTerm] = _pontrjagin_terms(params, _orders(n, k, params.m))
+        stiefel_whitney: Iterable[StiefelWhitneyTerm] = _stiefel_whitney_terms(params)
+    else:
+        pontrjagin, stiefel_whitney = char_classes.pontrjagin, char_classes.stiefel_whitney
+    stably, plain, verdict_why = _verdicts(params, pontrjagin, stiefel_whitney)
     prov.append(verdict_why)
     return SpanReport(
         span_lower=lower,

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterator
 
 from stiefelq.arith import _carries
 from stiefelq.manifold import ManifoldParams
@@ -66,11 +68,12 @@ def _prime_powers_up_to(m: int, n: int) -> dict[int, int]:
     return out
 
 
-def torsion_profile(params: ManifoldParams) -> TorsionProfile:
-    """All n orders, through carry counts along the window n - k < r <= n.
-    Primes whose running minimum hits 0 stop contributing and are dropped."""
-    n, k, m = params.n, params.k, params.m
-    orders = [m] * (n - k)
+def _orders(n: int, k: int, m: int) -> Iterator[int]:
+    """The orders of y^r for r = 1, 2, ..., n, in turn, through carry counts
+    along the window n - k < r <= n.  m is only split once the window is
+    reached, and primes whose running minimum hits 0 stop contributing and
+    are dropped."""
+    yield from repeat(m, n - k)
     active = _prime_powers_up_to(m, n)
     # the part of m made of primes above n is gone from r = n - k + 1 on
     value = math.prod(p**e for p, e in active.items())
@@ -83,7 +86,12 @@ def torsion_profile(params: ManifoldParams) -> TorsionProfile:
                     del active[p]
                 else:
                     active[p] = v
-        orders.append(value)
+        yield value
+
+
+def torsion_profile(params: ManifoldParams) -> TorsionProfile:
+    """All n orders of ``_orders`` and the height they give."""
+    orders = tuple(_orders(params.n, params.k, params.m))
     # orders[n - k - 1] = m >= 2, so the maximum below exists.
     height = max(r for r, o in enumerate(orders, start=1) if o > 1)
-    return TorsionProfile(orders=tuple(orders), height=height)
+    return TorsionProfile(orders=orders, height=height)

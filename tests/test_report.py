@@ -111,7 +111,8 @@ class TestComputeReport:
 
     def test_each_layer_runs_once(self, monkeypatch):
         calls = {"torsion_profile": 0, "char_class_report": 0}
-        # wrap every module binding of both names, so any route is counted
+        starts = {"_orders": 0, "_pontrjagin_terms": 0, "_stiefel_whitney_terms": 0}
+        # wrap every module binding of these names, so any route is counted
         for module in (torsion, charclass, span, report):
             for name in calls:
                 fn = getattr(module, name, None)
@@ -123,13 +124,33 @@ class TestComputeReport:
                     return _fn(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)
-        for n, k, m in [(4, 2, 2), (5, 4, 3), (6, 1, 7), (12, 5, 30)]:
-            # span_report alone builds the layers it reads, once each
-            for run in (compute_report, span.span_report):
-                for name in calls:
-                    calls[name] = 0
-                run(validate(n, k, m))
-                assert calls == {"torsion_profile": 1, "char_class_report": 1}, (run, n, k, m)
+            for name in starts:
+                fn = getattr(module, name, None)
+                if fn is None:
+                    continue
+
+                def started(*args, _fn=fn, _name=name, **kwargs):
+                    # a generator: this runs at its first next(), not at the call
+                    starts[_name] += 1
+                    yield from _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, started)
+        for n, k, m in [(4, 2, 2), (5, 4, 3), (6, 1, 7), (12, 5, 30), (10, 3, 2), (9, 4, 4)]:
+            for counter in (calls, starts):
+                for name in counter:
+                    counter[name] = 0
+            compute_report(validate(n, k, m))
+            assert calls == {"torsion_profile": 1, "char_class_report": 1}, (n, k, m)
+            # span_report alone builds neither: it reads the lazy terms, each
+            # generator started at most once
+            for counter in (calls, starts):
+                for name in counter:
+                    counter[name] = 0
+            span.span_report(validate(n, k, m))
+            assert calls == {"torsion_profile": 0, "char_class_report": 0}, (n, k, m)
+            assert max(starts.values()) <= 1, (starts, n, k, m)
+            # k = n - 1 is YES before any class is read
+            assert starts["_pontrjagin_terms"] == (k != n - 1), (starts, n, k, m)
 
 
 class TestRender:
@@ -285,6 +306,17 @@ class TestJsonWriter:
         assert text in rep.cohomology[0].presentation.render()
         self._assert_dump_bytes(rep)
 
+    def test_writer_route_shares_the_poincare_tuples(self):
+        rep = compute_report(validate(9, 4, 6), (2, 3, 5))
+        private = report._report_dict(rep)
+        public = report_to_dict(rep)
+        for e, d, pub in zip(rep.cohomology, private["cohomology"], public["cohomology"]):
+            assert d["poincare"] is e.poincare  # no copy on the writer's route
+            # the public dict stays plain JSON data: equal to what json.loads gives
+            assert type(pub["poincare"]) is list and pub["poincare"] == list(e.poincare)
+        assert json.dumps(private) == json.dumps(public)
+        assert json.loads(json.dumps(public)) == public
+
     def test_loaded_empty_lists(self):
         def edit(data):
             data["notes"] = []
@@ -316,7 +348,7 @@ class TestJsonWriter:
         def edit(data):
             b = data["basic"]
             b["dimension"], b["pi1_order"] = {}, []
-            b["orientable"] = {"a": [{}, [], None, True], "poincare": [True, "x", True]}
+            b["picard_order"] = {"a": [{}, [], None, True], "poincare": [True, "x", True]}
             data["torsion"]["height"] = None
 
         self._assert_dump_bytes(self._loaded(edit))
@@ -328,6 +360,27 @@ class TestJsonWriter:
         data = report_to_dict(compute_report(validate(4, 2, 6)))
         data["cohomology"][0]["poincare"] = entries
         with pytest.raises(ValueError, match="poincare entries must be ints"):
+            report.report_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("basic", "orientable"),
+            ("basic", "almost_complex_guaranteed"),
+            ("basic", "complex_structure_guaranteed"),
+            ("char_classes", "all_pontrjagin_vanish"),
+            ("char_classes", "all_sw_vanish"),
+            ("span", "span_eq_stable_guaranteed"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["maybe", 1, 0, None, [], 1.0])
+    def test_loader_rejects_non_bool_flags(self, section, key, value):
+        # the text dossier prints these through a {True, False} lookup:
+        # basic.orientable = "maybe" used to load and then fail in text
+        data = report_to_dict(compute_report(validate(4, 2, 6)))
+        data[section][key] = value
+        expected = f"{section}.{key} must be a bool, got {type(value).__name__}"
+        with pytest.raises(ValueError, match=expected):
             report.report_from_dict(data)
 
     def test_loader_keeps_negative_poincare_entries(self):

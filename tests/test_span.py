@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from stiefelq import span
+from stiefelq import span, torsion
+from stiefelq.charclass import char_class_report
 from stiefelq.manifold import ParameterError, validate
 from stiefelq.span import (
     TriState,
@@ -12,6 +13,7 @@ from stiefelq.span import (
     span_report,
     span_upper_bound,
 )
+from stiefelq.torsion import torsion_profile
 
 
 def _lower_bound_chain(n):
@@ -220,3 +222,73 @@ class TestSpanReport:
             assert rep.span_lower == rep.span_upper == d
             assert rep.parallelizable is TriState.YES
             assert rep.stably_parallelizable is TriState.YES
+
+
+def _eager(params, **kwargs):
+    # the report built from the whole profile and every class term
+    classes = char_class_report(params, torsion_profile(params))
+    return span_report(params, char_classes=classes, **kwargs)
+
+
+class TestLazyVerdicts:
+    """``span_report(params)`` reads the classes only up to its verdict; the
+    eager report, from every term, is the oracle."""
+
+    def test_matches_eager_on_grid(self):
+        seen = set()
+        for n in range(2, 41):
+            for k in range(1, n):
+                for m in (2, 3, 4, 6, 9, 12, 30, 210, 2 * (2**61 - 1)):
+                    params = validate(n, k, m)
+                    rep = span_report(params)
+                    assert rep == _eager(params), (n, k, m)
+                    verdict = rep.provenance[-1]
+                    seen.add(verdict.split(":")[0])
+                    if "Stiefel-Whitney" in verdict:
+                        seen.add("NO by Stiefel-Whitney alone")
+                    if k == 1 or k == n - 1:
+                        seen.add(f"k = {'1' if k == 1 else 'n - 1'}")
+        assert seen == {
+            "verdicts YES",
+            "verdicts NO",
+            "verdicts UNKNOWN",
+            "NO by Stiefel-Whitney alone",
+            "k = 1",
+            "k = n - 1",
+        }
+
+    def test_matches_eager_with_external_span(self):
+        improved = set()
+        for n in range(2, 13):
+            for k in range(1, n):
+                params = validate(n, k, 2)
+                rank = 2 * n * k
+                lower = span_lower_bound(params)
+                for ext in sorted({0, k * k, min(lower + k * k + 1, rank), rank}):
+                    rep = span_report(params, external_span=ext)
+                    assert rep == _eager(params, external_span=ext), (n, k, ext)
+                    improved.add(rep.stable_span_lower > lower)
+        assert improved == {False, True}
+
+    def test_matches_eager_at_large_n(self):
+        params = validate(20000, 2, 6)
+        assert span_report(params) == _eager(params)
+
+    def test_reads_orders_only_up_to_the_verdict(self, monkeypatch):
+        params = validate(150, 38, 30)
+        classes = char_class_report(params, torsion_profile(params))
+        j_star = next(t.j for t in classes.pontrjagin if not t.is_zero)
+        read = []
+
+        def counted(*args):
+            for order in torsion._orders(*args):
+                read.append(order)
+                yield order
+
+        monkeypatch.setattr(span, "_orders", counted)
+        rep = span_report(params)
+        assert rep == _eager(params)
+        assert f"Pontrjagin term j={j_star} " in rep.provenance[-1]
+        # the modulus of term j is the order of y^(2j): nothing past y^(2j*)
+        assert len(read) == 2 * j_star < params.n
+        assert tuple(read) == torsion_profile(params).orders[: 2 * j_star]
