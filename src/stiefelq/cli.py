@@ -12,7 +12,7 @@ import os
 import sys
 
 from stiefelq.manifold import ParameterError, validate
-from stiefelq.report import GridSpec, compute_report, generate_table, render
+from stiefelq.report import GridSpec, _json_dossier, compute_report, generate_table, render
 from stiefelq.span import span_report
 
 
@@ -78,7 +78,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compute(args: argparse.Namespace) -> int:
     params = validate(args.n, args.k, args.m)
     report = compute_report(params, args.primes)
-    sys.stdout.buffer.write(render(report, args.format))
+    if args.format == "json":
+        # ``render(report, "json")`` piece by piece: no joined copy of the
+        # whole dossier, as str or as bytes
+        sys.stdout.buffer.writelines(map(str.encode, _json_dossier(report)))
+    else:
+        sys.stdout.buffer.write(render(report, args.format))
     sys.stdout.buffer.flush()
     return 0
 

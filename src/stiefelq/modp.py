@@ -149,6 +149,11 @@ def classify(m: int, p: int) -> CohomologyCase:
     is not a prime."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    return _case(m, p)
+
+
+def _case(m: int, p: int) -> CohomologyCase:
+    """``classify`` for a p already known to be prime."""
     if m % p != 0:
         return CohomologyCase.COPRIME
     if p != 2:

@@ -13,10 +13,11 @@ import json
 import logging
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from functools import cache
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TypeVar
 
 from stiefelq.arith import _decimal_to_int, _int_to_decimal, factorize, is_prime
 from stiefelq.charclass import (
@@ -37,6 +38,7 @@ from stiefelq.modp import (
     PolyGenerator,
     RingPresentation,
     SquareRule,
+    _case,
     _palindrome,
     _poincare_polynomials,
     presentation,
@@ -63,6 +65,12 @@ SCHEMA_VERSION = 1
 CSV_HEADER = "n,k,m,dim,height,span_lower,span_upper,stably_parallelizable,parallelizable"
 
 log = logging.getLogger(__name__)
+
+_D = TypeVar("_D")
+
+# ``json.dumps(value, separators=(",", ":"))``, one table row's layout,
+# with one encoder kept for every call; reports hold no cycles to look for.
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 # Rows a pool worker takes at once: the first row, and an early stop, wait
 # for at most one chunk per worker.
@@ -112,23 +120,52 @@ def compute_report(
     (default: the primes dividing m, plus 2).  Presentations are listed with
     p ascending.  Each layer runs once: the torsion profile feeds the char
     classes, and those feed the span verdicts."""
-    return _compute_report(params, None if primes is None else _check_primes(primes))
+    return _compute_report(params, None if primes is None else _check_primes(primes), {})
 
 
-def _compute_report(params: ManifoldParams, primes: tuple[int, ...] | None) -> InvariantReport:
+# Cohomology entries of one (n, k), shared across m: {(n, k): {(p, case
+# value): [entry, its compact JSON text or None until a JSON row asks]}}.
+_Memo = dict[tuple[int, int], dict[tuple[int, str], list]]
+
+
+def _cohomology(
+    params: ManifoldParams, primes: tuple[int, ...] | None, memo: _Memo
+) -> tuple[CohomologyEntry, ...]:
+    """The cohomology entries of a report, p ascending.  m enters an entry
+    only through its case, so an entry is fixed by (n, k, p, case): entries
+    of this (n, k) already in ``memo`` are reused, the missing ones are built
+    from one Poincare expansion and kept.  The memo holds one (n, k) at a
+    time and is emptied when (n, k) changes."""
+    n, k, m = params.n, params.k, params.m
+    shared = memo.get((n, k))
+    if shared is None:
+        memo.clear()
+        shared = memo[n, k] = {}
+    # ``primes`` is None or already through ``_check_primes``, and
+    # ``default_primes`` gives primes: the key needs no primality test.  It
+    # holds the case's value, whose hash is C code, unlike an Enum member's.
+    ps = default_primes(m) if primes is None else primes
+    keys = [(p, _case(m, p)._value_) for p in ps]
+    missing = [key for key in keys if key not in shared]
+    if missing:
+        presentations = [presentation(params, p) for p, _ in missing]
+        polys = _poincare_polynomials(presentations, n, k)
+        for key, pres, coeffs in zip(missing, presentations, polys):
+            entry = CohomologyEntry(
+                p=pres.p,
+                presentation=pres,
+                poincare=tuple(coeffs),
+                total_dimension=total_dimension(pres, k),
+            )
+            shared[key] = [entry, None]
+    return tuple([shared[key][0] for key in keys])
+
+
+def _compute_report(
+    params: ManifoldParams, primes: tuple[int, ...] | None, memo: _Memo
+) -> InvariantReport:
     # ``primes`` is None or already through ``_check_primes``
-    ps = default_primes(params.m) if primes is None else primes
-    presentations = [presentation(params, p) for p in ps]
-    polys = _poincare_polynomials(presentations, params.n, params.k)
-    cohomology = tuple(
-        CohomologyEntry(
-            p=pres.p,
-            presentation=pres,
-            poincare=tuple(coeffs),
-            total_dimension=total_dimension(pres, params.k),
-        )
-        for pres, coeffs in zip(presentations, polys)
-    )
+    cohomology = _cohomology(params, primes, memo)
     notes: tuple[str, ...] = ()
     if params.k == 1:
         notes = (
@@ -168,6 +205,14 @@ def _presentation_dict(pres: RingPresentation) -> dict:
     }
 
 
+def _entry_dict(entry: CohomologyEntry) -> dict:
+    return {
+        **_presentation_dict(entry.presentation),
+        "poincare": entry.poincare,
+        "total_dimension": entry.total_dimension,
+    }
+
+
 def report_to_dict(report: InvariantReport) -> dict:
     """The JSON schema of a report as plain dicts, lists and scalars."""
     data = _report_dict(report)
@@ -196,14 +241,7 @@ def _report_dict(report: InvariantReport) -> dict:
             "orders": list(report.torsion.orders),
             "height": report.torsion.height,
         },
-        "cohomology": [
-            {
-                **_presentation_dict(e.presentation),
-                "poincare": e.poincare,
-                "total_dimension": e.total_dimension,
-            }
-            for e in report.cohomology
-        ],
+        "cohomology": [_entry_dict(e) for e in report.cohomology],
         "char_classes": {
             "pontrjagin": [
                 {
@@ -235,33 +273,64 @@ def _report_dict(report: InvariantReport) -> dict:
     }
 
 
-def _bool(section: dict, name: str, key: str) -> bool:
-    # the text dossier prints these through a {True, False} lookup
-    value = section[key]
-    if type(value) is not bool:
-        raise ValueError(f"{name}.{key} must be a bool, got {type(value).__name__}")
+_KINDS = {bool: "a bool", dict: "an object", list: "a list", str: "a str"}
+
+
+def _typed(value: Any, name: str, kind: type) -> Any:
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {type(value).__name__}")
     return value
 
 
+def _field(obj: dict, where: str, key: str, kind: type = object) -> Any:
+    """``obj[key]``, a ``kind``; ``where`` is the path to ``obj`` with a
+    trailing dot, empty at the top level."""
+    if key not in obj:
+        raise ValueError(f"{where}{key} is missing")
+    return _typed(obj[key], where + key, kind)
+
+
+def _items(obj: dict, where: str, key: str) -> Iterator[tuple[str, dict]]:
+    """(path, item) for each item of the list ``obj[key]``, every item an
+    object."""
+    for i, item in enumerate(_field(obj, where, key, list)):
+        path = f"{where}{key}[{i}]"
+        yield path + ".", _typed(item, path, dict)
+
+
+@cache
+def _kinds(cls: type) -> tuple[tuple[str, type], ...]:
+    # bool fields must hold exact bools: the text dossier prints them
+    # through a {True, False} lookup
+    return tuple((f.name, bool if f.type == "bool" else object) for f in fields(cls))
+
+
+def _flat(cls: type[_D], obj: dict, where: str, **given: Any) -> _D:
+    """The dataclass ``cls`` with the fields not in ``given`` read from the
+    same keys of ``obj``."""
+    for name, kind in _kinds(cls):
+        if name not in given:
+            given[name] = _field(obj, where, name, kind)
+    return cls(**given)
+
+
 def report_from_dict(data: dict) -> InvariantReport:
+    """The report that ``report_to_dict`` turned into ``data``.  Raises
+    ``ValueError`` naming the field for a missing field, an unknown
+    ``poly_generator`` key, or a value that is not the object, list, exact
+    bool or decimal string the schema puts there.  Other scalars are taken
+    as they are."""
+    data = _typed(data, "report", dict)
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version: {data.get('schema_version')!r}")
-    params = validate(**data["params"])
-    b = data["basic"]
-    basic = BasicInvariants(
-        dimension=b["dimension"],
-        pi1_order=b["pi1_order"],
-        euler_characteristic=b["euler_characteristic"],
-        orientable=_bool(b, "basic", "orientable"),
-        picard_order=b["picard_order"],
-        almost_complex_guaranteed=_bool(b, "basic", "almost_complex_guaranteed"),
-        complex_structure_guaranteed=_bool(b, "basic", "complex_structure_guaranteed"),
-    )
-    t = data["torsion"]
-    torsion = TorsionProfile(orders=tuple(t["orders"]), height=t["height"])
+    p = _field(data, "", "params", dict)
+    params = validate(*(_field(p, "params.", key) for key in ("n", "k", "m")))
+    t = _field(data, "", "torsion", dict)
+    orders = tuple(_field(t, "torsion.", "orders", list))
+    torsion = _flat(TorsionProfile, t, "torsion.", orders=orders)
     cohomology = []
-    for e in data["cohomology"]:
-        poincare = tuple(e["poincare"])
+    for where, e in _items(data, "", "cohomology"):
+        poincare = tuple(_field(e, where, "poincare", list))
         # the JSON writer prints these through repr: a bool or str would
         # come out as invalid JSON
         bad = set(map(type, poincare)) - {int}
@@ -269,60 +338,58 @@ def report_from_dict(data: dict) -> InvariantReport:
             raise ValueError(
                 f"poincare entries must be ints, got {sorted(t.__name__ for t in bad)}"
             )
-        pg = e["poly_generator"]
-        pres = RingPresentation(
-            p=e["p"],
-            case=CohomologyCase(e["case"]),
-            poly_generator=None if pg is None else PolyGenerator(**pg),
-            exterior_degrees=tuple(e["exterior_degrees"]),
-            square_rule=SquareRule(e["square_rule"]),
-            deg2_truncation=e["deg2_truncation"],
+        pg = _field(e, where, "poly_generator")
+        if pg is not None:
+            unknown = _typed(pg, where + "poly_generator", dict).keys() - {"degree", "truncation"}
+            if unknown:
+                raise ValueError(f"{where}poly_generator has unknown keys {sorted(unknown)}")
+            pg = _flat(PolyGenerator, pg, where + "poly_generator.")
+        pres = _flat(
+            RingPresentation,
+            e,
+            where,
+            case=CohomologyCase(_field(e, where, "case")),
+            poly_generator=pg,
+            exterior_degrees=tuple(_field(e, where, "exterior_degrees", list)),
+            square_rule=SquareRule(_field(e, where, "square_rule")),
         )
-        cohomology.append(
-            CohomologyEntry(
-                p=e["p"],
-                presentation=pres,
-                poincare=poincare,
-                total_dimension=e["total_dimension"],
-            )
-        )
-    c = data["char_classes"]
-    char = CharClassReport(
+        cohomology.append(_flat(CohomologyEntry, e, where, presentation=pres, poincare=poincare))
+    c = _field(data, "", "char_classes", dict)
+    char = _flat(
+        CharClassReport,
+        c,
+        "char_classes.",
         pontrjagin=tuple(
-            PontrjaginTerm(
-                j=t["j"],
-                raw_coefficient=_decimal_to_int(t["raw_coefficient"]),
-                modulus=t["modulus"],
-                reduced=t["reduced"],
-                is_zero=t["is_zero"],
+            _flat(
+                PontrjaginTerm,
+                t,
+                where,
+                raw_coefficient=_decimal_to_int(_field(t, where, "raw_coefficient", str)),
             )
-            for t in c["pontrjagin"]
+            for where, t in _items(c, "char_classes.", "pontrjagin")
         ),
         stiefel_whitney=tuple(
-            StiefelWhitneyTerm(degree=t["degree"], present=t["present"])
-            for t in c["stiefel_whitney"]
+            _flat(StiefelWhitneyTerm, t, where)
+            for where, t in _items(c, "char_classes.", "stiefel_whitney")
         ),
-        all_pontrjagin_vanish=_bool(c, "char_classes", "all_pontrjagin_vanish"),
-        all_sw_vanish=_bool(c, "char_classes", "all_sw_vanish"),
     )
-    s = data["span"]
-    span = SpanReport(
-        span_lower=s["span_lower"],
-        span_upper=s["span_upper"],
-        stable_span_lower=s["stable_span_lower"],
-        span_eq_stable_guaranteed=_bool(s, "span", "span_eq_stable_guaranteed"),
-        parallelizable=TriState(s["parallelizable"]),
-        stably_parallelizable=TriState(s["stably_parallelizable"]),
-        provenance=tuple(s["provenance"]),
+    s = _field(data, "", "span", dict)
+    span = _flat(
+        SpanReport,
+        s,
+        "span.",
+        parallelizable=TriState(_field(s, "span.", "parallelizable")),
+        stably_parallelizable=TriState(_field(s, "span.", "stably_parallelizable")),
+        provenance=tuple(_field(s, "span.", "provenance", list)),
     )
     return InvariantReport(
         params=params,
-        basic=basic,
+        basic=_flat(BasicInvariants, _field(data, "", "basic", dict), "basic."),
         torsion=torsion,
         cohomology=tuple(cohomology),
         char_classes=char,
         span=span,
-        notes=tuple(data["notes"]),
+        notes=tuple(_field(data, "", "notes", list)),
     )
 
 
@@ -536,18 +603,40 @@ def _grid_points(spec: GridSpec) -> Iterator[ManifoldParams]:
                 yield params
 
 
-def _table_row(params: ManifoldParams, primes: tuple[int, ...] | None, fmt: str) -> bytes:
-    report = _compute_report(params, primes)
+def _json_row(report: InvariantReport, memo: _Memo) -> bytes:
+    """``_compact(_report_dict(report))``, for a report whose cohomology
+    came from ``memo``: each entry's text is encoded once per memo and
+    spliced into the encoding of the other sections.  Before the cohomology
+    key those hold only keys and numbers, so its first match is the key."""
+    shared = memo[report.params.n, report.params.k]
+    texts = []
+    for e in report.cohomology:
+        slot = shared[e.p, e.presentation.case._value_]
+        if slot[1] is None:
+            slot[1] = _compact(_entry_dict(e))
+        texts.append(slot[1])
+    head, _, tail = _compact(_report_dict(replace(report, cohomology=()))).partition(
+        '"cohomology":[]'
+    )
+    return f'{head}"cohomology":[{",".join(texts)}]{tail}'.encode()
+
+
+def _table_row(
+    params: ManifoldParams, primes: tuple[int, ...] | None, fmt: str, memo: _Memo
+) -> bytes:
+    """One table row; JSON rows share ``memo`` (see ``_cohomology``), CSV
+    rows print no cohomology and take a fresh one."""
     if fmt == "csv":
-        return render(report, "csv_row")
+        return render(_compute_report(params, primes, {}), "csv_row")
     # one compact JSON object per row
-    return json.dumps(_report_dict(report), separators=(",", ":")).encode()
+    return _json_row(_compute_report(params, primes, memo), memo)
 
 
 def _table_rows(
     chunk: list[ManifoldParams], primes: tuple[int, ...] | None, fmt: str
 ) -> list[bytes]:
-    return [_table_row(params, primes, fmt) for params in chunk]
+    memo: _Memo = {}
+    return [_table_row(params, primes, fmt, memo) for params in chunk]
 
 
 def generate_table(spec: GridSpec) -> Iterator[bytes]:
@@ -560,7 +649,9 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
     chunks per worker are in flight: one more is submitted each time a
     chunk's rows have been yielded.  At most min(jobs, CPU count, chunks the
     grid fills) workers are started; with fewer than two, rows are computed
-    in-process."""
+    in-process.  JSON rows of one (n, k) share their cohomology entries and
+    the entries' encoded text, through one memo per serial walk or per
+    worker chunk (see ``_cohomology``)."""
     if spec.fmt == "csv":
         yield CSV_HEADER.encode()
     points = _grid_points(spec)
@@ -569,8 +660,9 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
     window = list(islice(chunks, 2 * workers)) if workers > 1 else []
     workers = min(workers, len(window))
     if workers < 2:
+        memo: _Memo = {}
         for params in chain(*window, points):
-            yield _table_row(params, spec.primes, spec.fmt)
+            yield _table_row(params, spec.primes, spec.fmt, memo)
         return
     # imported here, so commands that start no pool never load it
     from concurrent.futures import ProcessPoolExecutor

@@ -192,17 +192,18 @@ def test_radon_hurwitz_and_circle_quotient_upper():
 
 @_criterion("table-determinism")
 def test_table_output_deterministic_and_roundtrips():
-    """Byte-identical table output across repeated runs and across 1 vs 8
-    workers on a 270-point grid, plus JSON round-trip identity on every
-    point and a CLI-vs-library byte comparison."""
+    """Byte-identical table output, CSV and JSON, across repeated runs and
+    across 1 vs 8 workers on a 270-point grid, plus JSON round-trip identity
+    on every point and a CLI-vs-library byte comparison."""
     base = dict(n_range=(3, 8), k_range=None, m_range=(2, 11))
     points = sum(n - 1 for n in range(3, 9)) * 10
     assert points >= 200
 
-    serial = render_table(GridSpec(**base))
-    assert serial == render_table(GridSpec(**base))
-    assert serial == render_table(GridSpec(**base, jobs=8))
-    assert len(serial.splitlines()) == 1 + points
+    for fmt, header in (("csv", 1), ("json", 0)):
+        serial = render_table(GridSpec(**base, fmt=fmt))
+        assert serial == render_table(GridSpec(**base, fmt=fmt))
+        assert serial == render_table(GridSpec(**base, fmt=fmt, jobs=8))
+        assert len(serial.splitlines()) == header + points
 
     for n in range(3, 9):
         for k in range(1, n):

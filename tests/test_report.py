@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefelq import charclass, cli, report, span, torsion
+from stiefelq import charclass, cli, modp, report, span, torsion
 from stiefelq.cli import main
 from stiefelq.manifold import ParameterError, validate
 from stiefelq.report import (
@@ -383,6 +383,44 @@ class TestJsonWriter:
         with pytest.raises(ValueError, match=expected):
             report.report_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: [d], "report must be an object, got list"),
+            (lambda d: d.pop("span") and d, "span is missing"),
+            (lambda d: d["params"].pop("m") and d, "params.m is missing"),
+            (lambda d: d["basic"].pop("dimension") and d, "basic.dimension is missing"),
+            (lambda d: d.update(basic=[]) or d, "basic must be an object, got list"),
+            (lambda d: d["cohomology"].append(5) or d, r"cohomology\[2\] must be an object"),
+            (
+                lambda d: d["cohomology"][0]["poly_generator"].update(extra=1) or d,
+                r"cohomology\[0\]\.poly_generator has unknown keys \['extra'\]",
+            ),
+            (
+                lambda d: d["cohomology"][1].update(poincare="12") or d,
+                r"cohomology\[1\]\.poincare must be a list, got str",
+            ),
+            (
+                lambda d: d["char_classes"]["pontrjagin"][0].update(raw_coefficient=8) or d,
+                r"char_classes\.pontrjagin\[0\]\.raw_coefficient must be a str, got int",
+            ),
+            (
+                lambda d: d["char_classes"]["pontrjagin"][1].update(is_zero="no") or d,
+                r"char_classes\.pontrjagin\[1\]\.is_zero must be a bool, got str",
+            ),
+            (
+                lambda d: d["char_classes"]["stiefel_whitney"][2].update(present=1) or d,
+                r"char_classes\.stiefel_whitney\[2\]\.present must be a bool, got int",
+            ),
+        ],
+    )
+    def test_loader_names_the_bad_field(self, edit, message):
+        # each used to load (is_zero = "no" printed as "zero" in text) or to
+        # fail with AttributeError, KeyError or TypeError
+        data = edit(report_to_dict(compute_report(validate(4, 2, 6))))
+        with pytest.raises(ValueError, match=message):
+            report.report_from_dict(data)
+
     def test_loader_keeps_negative_poincare_entries(self):
         data = report_to_dict(compute_report(validate(4, 2, 6)))
         data["cohomology"][0]["poincare"] = [-3, 0, 10**25, 0, -3]
@@ -489,6 +527,59 @@ class TestTable:
             report = report_from_json(row)
             assert report.params.n == 3
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("primes", [None, (2, 3, 17)])  # 17 divides no m
+    def test_json_rows_sharing_entries_match_the_compact_dump(
+        self, monkeypatch, inline_pool, jobs, primes
+    ):
+        # runs of 14 rows per (n, k), k = 1 among them, straddle the 64-row
+        # chunks; within a run p = 2 meets COPRIME (odd m), TWO_MOD_FOUR and
+        # ZERO_MOD_FOUR
+        monkeypatch.setattr(report.os, "cpu_count", lambda: 2)
+        spec = GridSpec(n_range=(3, 6), k_range=None, m_range=(2, 15), primes=primes,
+                        fmt="json", jobs=jobs)
+        rows = list(generate_table(spec))
+        assert inline_pool["started"] == ([2] if jobs == 2 else [])
+        points = list(report._grid_points(spec))
+        assert len(rows) == len(points) == 14 * 14
+        cases = set()
+        for row, params in zip(rows, points):
+            rep = compute_report(params, primes)
+            assert row == json.dumps(report_to_dict(rep), separators=(",", ":")).encode()
+            cases.update((e.p, e.presentation.case.value) for e in rep.cohomology)
+        assert {"COPRIME", "TWO_MOD_FOUR", "ZERO_MOD_FOUR", "ODD_DIVIDES"} == {c for _, c in cases}
+        assert ((17, "COPRIME") in cases) == (primes is not None)
+
+    def test_json_rows_build_each_entry_once_per_n_k(self, monkeypatch):
+        built = []
+
+        def counted(params, p):
+            pres = presentation(params, p)
+            built.append((p, pres.case))
+            return pres
+
+        presentation = report.presentation
+        monkeypatch.setattr(report, "presentation", counted)
+        spec = GridSpec(n_range=(9, 9), k_range=(4, 4), m_range=(2, 40), fmt="json")
+        rows = list(generate_table(spec))
+        assert len(rows) == 39
+        wanted = set()
+        for m in range(2, 41):
+            wanted.update((p, modp.classify(m, p)) for p in default_primes(m))
+        assert sorted(built, key=str) == sorted(wanted, key=str)
+        # CSV rows print no cohomology and share nothing
+        built.clear()
+        list(generate_table(replace(spec, fmt="csv")))
+        assert len(built) == sum(len(default_primes(m)) for m in range(2, 41))
+
+    def test_memo_holds_one_n_k(self):
+        memo = {}
+        first = report._cohomology(validate(7, 3, 6), None, memo)
+        assert report._cohomology(validate(7, 3, 12), None, memo)[1] is first[1]  # p = 3
+        report._cohomology(validate(7, 4, 6), None, memo)
+        assert list(memo) == [(7, 4)]
+        assert set(memo[7, 4]) == {(2, "TWO_MOD_FOUR"), (3, "ODD_DIVIDES")}
+
     def test_empty_ranges_rejected(self):
         with pytest.raises(ParameterError):
             GridSpec(n_range=(4, 3), k_range=None, m_range=(2, 2))
@@ -530,6 +621,22 @@ class TestCli:
         assert main(["compute", "--n", "4", "--k", "2", "--m", "2", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["torsion"] == {"orders": [2, 2, 2, 1], "height": 3}
+
+    @pytest.mark.parametrize(
+        "n, k, m, primes",
+        [
+            (4, 2, 2, None),
+            (70, 66, 6, None),  # k > 64: slots wider than 8 bytes
+            (41, 20, 6 * 1000000000039, "2,3,1000000000039"),
+        ],
+    )
+    def test_compute_json_writes_the_rendered_bytes(self, capsysbinary, n, k, m, primes):
+        # the CLI writes the dossier's pieces one by one, never the joined bytes
+        argv = ["compute", "--n", str(n), "--k", str(k), "--m", str(m), "--format", "json"]
+        assert main(argv + (["--primes", primes] if primes else [])) == 0
+        parsed = None if primes is None else tuple(map(int, primes.split(",")))
+        expected = render(compute_report(validate(n, k, m), parsed), "json")
+        assert capsysbinary.readouterr().out == expected
 
     def test_compute_text_default(self, capsys):
         assert main(["compute", "--n", "4", "--k", "2", "--m", "2"]) == 0
