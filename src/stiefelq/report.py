@@ -13,7 +13,7 @@ import json
 import logging
 import os
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -120,52 +120,67 @@ def compute_report(
     (default: the primes dividing m, plus 2).  Presentations are listed with
     p ascending.  Each layer runs once: the torsion profile feeds the char
     classes, and those feed the span verdicts."""
-    return _compute_report(params, None if primes is None else _check_primes(primes), {})
-
-
-# Cohomology entries of one (n, k), shared across m: {(n, k): {(p, case
-# value): [entry, its compact JSON text or None until a JSON row asks]}}.
-_Memo = dict[tuple[int, int], dict[tuple[int, str], list]]
+    checked = None if primes is None else _check_primes(primes)
+    return _compute_report(params, _cohomology(params, checked))
 
 
 def _cohomology(
-    params: ManifoldParams, primes: tuple[int, ...] | None, memo: _Memo
+    params: ManifoldParams, primes: tuple[int, ...] | None
 ) -> tuple[CohomologyEntry, ...]:
-    """The cohomology entries of a report, p ascending.  m enters an entry
-    only through its case, so an entry is fixed by (n, k, p, case): entries
-    of this (n, k) already in ``memo`` are reused, the missing ones are built
-    from one Poincare expansion and kept.  The memo holds one (n, k) at a
-    time and is emptied when (n, k) changes."""
-    n, k, m = params.n, params.k, params.m
-    shared = memo.get((n, k))
-    if shared is None:
-        memo.clear()
-        shared = memo[n, k] = {}
-    # ``primes`` is None or already through ``_check_primes``, and
-    # ``default_primes`` gives primes: the key needs no primality test.  It
-    # holds the case's value, whose hash is C code, unlike an Enum member's.
-    ps = default_primes(m) if primes is None else primes
-    keys = [(p, _case(m, p)._value_) for p in ps]
-    missing = [key for key in keys if key not in shared]
+    """The cohomology entries of a report, p ascending, from one Poincare
+    expansion."""
+    # ``primes`` is None or already through ``_check_primes``
+    ps = default_primes(params.m) if primes is None else primes
+    presentations = [presentation(params, p) for p in ps]
+    polys = _poincare_polynomials(presentations, params.n, params.k)
+    return tuple(
+        CohomologyEntry(
+            p=pres.p,
+            presentation=pres,
+            poincare=tuple(coeffs),
+            total_dimension=total_dimension(pres, params.k),
+        )
+        for pres, coeffs in zip(presentations, polys)
+    )
+
+
+class _Memo:
+    """The compact JSON text of cohomology entries of one (n, k), shared
+    across m and keyed by (p, case value); a new (n, k) starts it afresh."""
+
+    __slots__ = ("n_k", "texts")
+
+    def __init__(self) -> None:
+        self.n_k: tuple[int, int] | None = None
+        self.texts: dict[tuple[int, str], str] = {}
+
+
+def _cohomology_texts(
+    params: ManifoldParams, primes: tuple[int, ...] | None, memo: _Memo
+) -> list[str]:
+    """``_cohomology`` as the entries' compact JSON texts, through ``memo``.
+    m enters an entry only through its case, so an entry is fixed by (n, k,
+    p, case): texts of this (n, k) already in the memo are reused, the
+    missing entries are built and encoded once."""
+    if memo.n_k != (params.n, params.k):
+        memo.n_k = (params.n, params.k)
+        memo.texts = {}
+    texts = memo.texts
+    # the primes are primes already, so the key needs no primality test.
+    # It holds the case's value, whose hash is C code, unlike an Enum
+    # member's.
+    ps = default_primes(params.m) if primes is None else primes
+    keys = [(p, _case(params.m, p)._value_) for p in ps]
+    missing = [key for key in keys if key not in texts]
     if missing:
-        presentations = [presentation(params, p) for p, _ in missing]
-        polys = _poincare_polynomials(presentations, n, k)
-        for key, pres, coeffs in zip(missing, presentations, polys):
-            entry = CohomologyEntry(
-                p=pres.p,
-                presentation=pres,
-                poincare=tuple(coeffs),
-                total_dimension=total_dimension(pres, k),
-            )
-            shared[key] = [entry, None]
-    return tuple([shared[key][0] for key in keys])
+        built = _cohomology(params, tuple(p for p, _ in missing))
+        texts.update(zip(missing, [_compact(_entry_dict(e)) for e in built]))
+    return [texts[key] for key in keys]
 
 
 def _compute_report(
-    params: ManifoldParams, primes: tuple[int, ...] | None, memo: _Memo
+    params: ManifoldParams, cohomology: tuple[CohomologyEntry, ...]
 ) -> InvariantReport:
-    # ``primes`` is None or already through ``_check_primes``
-    cohomology = _cohomology(params, primes, memo)
     notes: tuple[str, ...] = ()
     if params.k == 1:
         notes = (
@@ -298,6 +313,14 @@ def _items(obj: dict, where: str, key: str) -> Iterator[tuple[str, dict]]:
         yield path + ".", _typed(item, path, dict)
 
 
+def _known(obj: dict, name: str, keys: Iterable[str]) -> dict:
+    """``obj``, which holds no keys but ``keys``."""
+    unknown = obj.keys() - set(keys)
+    if unknown:
+        raise ValueError(f"{name} has unknown keys {sorted(unknown)}")
+    return obj
+
+
 @cache
 def _kinds(cls: type) -> tuple[tuple[str, type], ...]:
     # bool fields must hold exact bools: the text dossier prints them
@@ -317,13 +340,13 @@ def _flat(cls: type[_D], obj: dict, where: str, **given: Any) -> _D:
 def report_from_dict(data: dict) -> InvariantReport:
     """The report that ``report_to_dict`` turned into ``data``.  Raises
     ``ValueError`` naming the field for a missing field, an unknown
-    ``poly_generator`` key, or a value that is not the object, list, exact
-    bool or decimal string the schema puts there.  Other scalars are taken
-    as they are."""
+    ``params`` or ``poly_generator`` key, or a value that is not the object,
+    list, exact bool or decimal string the schema puts there.  Other
+    scalars are taken as they are."""
     data = _typed(data, "report", dict)
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version: {data.get('schema_version')!r}")
-    p = _field(data, "", "params", dict)
+    p = _known(_field(data, "", "params", dict), "params", ("n", "k", "m"))
     params = validate(*(_field(p, "params.", key) for key in ("n", "k", "m")))
     t = _field(data, "", "torsion", dict)
     orders = tuple(_field(t, "torsion.", "orders", list))
@@ -340,10 +363,9 @@ def report_from_dict(data: dict) -> InvariantReport:
             )
         pg = _field(e, where, "poly_generator")
         if pg is not None:
-            unknown = _typed(pg, where + "poly_generator", dict).keys() - {"degree", "truncation"}
-            if unknown:
-                raise ValueError(f"{where}poly_generator has unknown keys {sorted(unknown)}")
-            pg = _flat(PolyGenerator, pg, where + "poly_generator.")
+            name = where + "poly_generator"
+            _known(_typed(pg, name, dict), name, ("degree", "truncation"))
+            pg = _flat(PolyGenerator, pg, name + ".")
         pres = _flat(
             RingPresentation,
             e,
@@ -603,40 +625,44 @@ def _grid_points(spec: GridSpec) -> Iterator[ManifoldParams]:
                 yield params
 
 
-def _json_row(report: InvariantReport, memo: _Memo) -> bytes:
-    """``_compact(_report_dict(report))``, for a report whose cohomology
-    came from ``memo``: each entry's text is encoded once per memo and
-    spliced into the encoding of the other sections.  Before the cohomology
-    key those hold only keys and numbers, so its first match is the key."""
-    shared = memo[report.params.n, report.params.k]
-    texts = []
-    for e in report.cohomology:
-        slot = shared[e.p, e.presentation.case._value_]
-        if slot[1] is None:
-            slot[1] = _compact(_entry_dict(e))
-        texts.append(slot[1])
-    head, _, tail = _compact(_report_dict(replace(report, cohomology=()))).partition(
-        '"cohomology":[]'
-    )
-    return f'{head}"cohomology":[{",".join(texts)}]{tail}'.encode()
+def _json_row(report: InvariantReport, texts: Iterable[str]) -> bytes:
+    """``_compact(_report_dict(report))`` with ``texts``, encoded entries,
+    as its cohomology; ``report`` holds none.  The sections before and
+    after the cohomology are encoded apart and joined around the texts."""
+    data = _report_dict(report)
+    keys = list(data)
+    i = keys.index("cohomology")
+    head = _compact({key: data[key] for key in keys[:i]})
+    tail = _compact({key: data[key] for key in keys[i + 1 :]})
+    return f'{head[:-1]},"cohomology":[{",".join(texts)}],{tail[1:]}'.encode()
 
 
 def _table_row(
     params: ManifoldParams, primes: tuple[int, ...] | None, fmt: str, memo: _Memo
 ) -> bytes:
-    """One table row; JSON rows share ``memo`` (see ``_cohomology``), CSV
-    rows print no cohomology and take a fresh one."""
     if fmt == "csv":
-        return render(_compute_report(params, primes, {}), "csv_row")
+        # CSV rows print no cohomology: they take no memo
+        return render(_compute_report(params, _cohomology(params, primes)), "csv_row")
     # one compact JSON object per row
-    return _json_row(_compute_report(params, primes, memo), memo)
+    return _json_row(_compute_report(params, ()), _cohomology_texts(params, primes, memo))
+
+
+def _rows(
+    points: Iterable[ManifoldParams], primes: tuple[int, ...] | None, fmt: str
+) -> Iterator[bytes]:
+    """The rows of ``points``, in order.  JSON rows share their cohomology
+    through one memo per ``_CHUNK_CAP`` rows, the chunks a pool worker
+    takes, so a memo holds at most that many rows' entries."""
+    for i, params in enumerate(points):
+        if i % _CHUNK_CAP == 0:
+            memo = _Memo()
+        yield _table_row(params, primes, fmt, memo)
 
 
 def _table_rows(
     chunk: list[ManifoldParams], primes: tuple[int, ...] | None, fmt: str
 ) -> list[bytes]:
-    memo: _Memo = {}
-    return [_table_row(params, primes, fmt, memo) for params in chunk]
+    return list(_rows(chunk, primes, fmt))
 
 
 def generate_table(spec: GridSpec) -> Iterator[bytes]:
@@ -649,9 +675,9 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
     chunks per worker are in flight: one more is submitted each time a
     chunk's rows have been yielded.  At most min(jobs, CPU count, chunks the
     grid fills) workers are started; with fewer than two, rows are computed
-    in-process.  JSON rows of one (n, k) share their cohomology entries and
-    the entries' encoded text, through one memo per serial walk or per
-    worker chunk (see ``_cohomology``)."""
+    in-process.  JSON rows of one (n, k) share their cohomology entries
+    within each chunk of ``_CHUNK_CAP`` rows, serial or pooled (see
+    ``_rows``)."""
     if spec.fmt == "csv":
         yield CSV_HEADER.encode()
     points = _grid_points(spec)
@@ -660,9 +686,7 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
     window = list(islice(chunks, 2 * workers)) if workers > 1 else []
     workers = min(workers, len(window))
     if workers < 2:
-        memo: _Memo = {}
-        for params in chain(*window, points):
-            yield _table_row(params, spec.primes, spec.fmt, memo)
+        yield from _rows(chain(*window, points), spec.primes, spec.fmt)
         return
     # imported here, so commands that start no pool never load it
     from concurrent.futures import ProcessPoolExecutor

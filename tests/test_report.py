@@ -389,6 +389,7 @@ class TestJsonWriter:
             (lambda d: [d], "report must be an object, got list"),
             (lambda d: d.pop("span") and d, "span is missing"),
             (lambda d: d["params"].pop("m") and d, "params.m is missing"),
+            (lambda d: d["params"].update(q=1) or d, r"params has unknown keys \['q'\]"),
             (lambda d: d["basic"].pop("dimension") and d, "basic.dimension is missing"),
             (lambda d: d.update(basic=[]) or d, "basic must be an object, got list"),
             (lambda d: d["cohomology"].append(5) or d, r"cohomology\[2\] must be an object"),
@@ -573,12 +574,41 @@ class TestTable:
         assert len(built) == sum(len(default_primes(m)) for m in range(2, 41))
 
     def test_memo_holds_one_n_k(self):
-        memo = {}
-        first = report._cohomology(validate(7, 3, 6), None, memo)
-        assert report._cohomology(validate(7, 3, 12), None, memo)[1] is first[1]  # p = 3
-        report._cohomology(validate(7, 4, 6), None, memo)
-        assert list(memo) == [(7, 4)]
-        assert set(memo[7, 4]) == {(2, "TWO_MOD_FOUR"), (3, "ODD_DIVIDES")}
+        memo = report._Memo()
+        first = report._cohomology_texts(validate(7, 3, 6), None, memo)
+        assert report._cohomology_texts(validate(7, 3, 12), None, memo)[1] is first[1]  # p = 3
+        report._cohomology_texts(validate(7, 4, 6), None, memo)
+        assert memo.n_k == (7, 4)
+        assert set(memo.texts) == {(2, "TWO_MOD_FOUR"), (3, "ODD_DIVIDES")}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_memo_holds_at_most_one_chunk_of_rows(self, monkeypatch, inline_pool, jobs):
+        # one (n, k) over a long m range: each new prime factor of m adds a
+        # key, so a memo kept for the whole run would hold one per prime
+        # below the top of the range
+        monkeypatch.setattr(report.os, "cpu_count", lambda: 2)
+        seen = []
+
+        def recorded(params, primes, memo):
+            texts = cohomology_texts(params, primes, memo)
+            seen.append((memo, params.m, len(memo.texts)))
+            return texts
+
+        cohomology_texts = report._cohomology_texts
+        monkeypatch.setattr(report, "_cohomology_texts", recorded)
+        spec = GridSpec(n_range=(5, 5), k_range=(2, 2), m_range=(2, 400), fmt="json", jobs=jobs)
+        assert len(list(generate_table(spec))) == 399
+        assert len({id(memo) for memo, _, _ in seen}) == 7
+        sizes = []
+        for start in range(0, 399, report._CHUNK_CAP):
+            chunk = seen[start : start + report._CHUNK_CAP]
+            assert all(memo is chunk[0][0] for memo, _, _ in chunk)
+            keys = {(p, modp.classify(m, p)) for _, m, _ in chunk for p in default_primes(m)}
+            sizes.append(max(size for _, _, size in chunk))
+            assert sizes[-1] == len(keys)
+        # against 80 for the whole run: 2's three cases and 77 odd primes
+        assert max(sizes) == 46
+        assert len({(p, modp.classify(m, p)) for m in range(2, 401) for p in default_primes(m)}) == 80
 
     def test_empty_ranges_rejected(self):
         with pytest.raises(ParameterError):
