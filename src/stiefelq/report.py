@@ -14,10 +14,10 @@ import logging
 import os
 from collections import deque
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from stiefelq.arith import _decimal_to_int, _int_to_decimal, factorize, is_prime
 from stiefelq.charclass import (
@@ -72,8 +72,9 @@ _D = TypeVar("_D")
 # with one encoder kept for every call; reports hold no cycles to look for.
 _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
-# Rows a pool worker takes at once: the first row, and an early stop, wait
-# for at most one chunk per worker.
+# Rows a pool worker takes at once, and the rows of chunk 0, which a pooled
+# table computes in-process: an early stop waits for at most one chunk per
+# worker.
 _CHUNK_CAP = 64
 
 
@@ -288,13 +289,24 @@ def _report_dict(report: InvariantReport) -> dict:
     }
 
 
-_KINDS = {bool: "a bool", dict: "an object", list: "a list", str: "a str"}
+_KINDS = {bool: "a bool", dict: "an object", int: "an int", list: "a list", str: "a str"}
 
 
 def _typed(value: Any, name: str, kind: type) -> Any:
-    if not isinstance(value, kind):
+    # an int must be exactly an int: a bool is an int too, and the JSON
+    # writer prints exact ints only through repr
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
         raise ValueError(f"{name} must be {_KINDS[kind]}, got {type(value).__name__}")
     return value
+
+
+def _ints(value: Any, name: str) -> tuple[int, ...]:
+    """The list ``value`` as a tuple, every entry an exact int."""
+    # one check per distinct type, not per entry: Poincare lists run long
+    bad = set(map(type, _typed(value, name, list))) - {int}
+    if bad:
+        raise ValueError(f"{name} entries must be ints, got {sorted(t.__name__ for t in bad)}")
+    return tuple(value)
 
 
 def _field(obj: dict, where: str, key: str, kind: type = object) -> Any:
@@ -321,19 +333,30 @@ def _known(obj: dict, name: str, keys: Iterable[str]) -> dict:
     return obj
 
 
+# How a loaded field is checked, by its annotation: (value, path) -> value.
+# Bools must be exact bools, since the text dossier prints them through a
+# {True, False} lookup.  Fields of other annotations are taken as they are,
+# or given by the caller.
+_READERS: dict[str, Callable[[Any, str], Any]] = {
+    "bool": partial(_typed, kind=bool),
+    "int": partial(_typed, kind=int),
+    "int | None": lambda value, name: value if value is None else _typed(value, name, int),
+    "tuple[int, ...]": _ints,
+}
+
+
 @cache
-def _kinds(cls: type) -> tuple[tuple[str, type], ...]:
-    # bool fields must hold exact bools: the text dossier prints them
-    # through a {True, False} lookup
-    return tuple((f.name, bool if f.type == "bool" else object) for f in fields(cls))
+def _kinds(cls: type) -> tuple[tuple[str, Callable[[Any, str], Any] | None], ...]:
+    return tuple((f.name, _READERS.get(f.type)) for f in fields(cls))
 
 
 def _flat(cls: type[_D], obj: dict, where: str, **given: Any) -> _D:
     """The dataclass ``cls`` with the fields not in ``given`` read from the
     same keys of ``obj``."""
-    for name, kind in _kinds(cls):
+    for name, read in _kinds(cls):
         if name not in given:
-            given[name] = _field(obj, where, name, kind)
+            value = _field(obj, where, name)
+            given[name] = value if read is None else read(value, where + name)
     return cls(**given)
 
 
@@ -341,26 +364,17 @@ def report_from_dict(data: dict) -> InvariantReport:
     """The report that ``report_to_dict`` turned into ``data``.  Raises
     ``ValueError`` naming the field for a missing field, an unknown
     ``params`` or ``poly_generator`` key, or a value that is not the object,
-    list, exact bool or decimal string the schema puts there.  Other
-    scalars are taken as they are."""
+    list, exact bool, exact int (or null, for ``deg2_truncation``), list of
+    exact ints or decimal string the schema puts there.  The strings of
+    ``notes`` and ``provenance`` are taken as they are."""
     data = _typed(data, "report", dict)
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version: {data.get('schema_version')!r}")
     p = _known(_field(data, "", "params", dict), "params", ("n", "k", "m"))
     params = validate(*(_field(p, "params.", key) for key in ("n", "k", "m")))
-    t = _field(data, "", "torsion", dict)
-    orders = tuple(_field(t, "torsion.", "orders", list))
-    torsion = _flat(TorsionProfile, t, "torsion.", orders=orders)
+    torsion = _flat(TorsionProfile, _field(data, "", "torsion", dict), "torsion.")
     cohomology = []
     for where, e in _items(data, "", "cohomology"):
-        poincare = tuple(_field(e, where, "poincare", list))
-        # the JSON writer prints these through repr: a bool or str would
-        # come out as invalid JSON
-        bad = set(map(type, poincare)) - {int}
-        if bad:
-            raise ValueError(
-                f"poincare entries must be ints, got {sorted(t.__name__ for t in bad)}"
-            )
         pg = _field(e, where, "poly_generator")
         if pg is not None:
             name = where + "poly_generator"
@@ -372,10 +386,9 @@ def report_from_dict(data: dict) -> InvariantReport:
             where,
             case=CohomologyCase(_field(e, where, "case")),
             poly_generator=pg,
-            exterior_degrees=tuple(_field(e, where, "exterior_degrees", list)),
             square_rule=SquareRule(_field(e, where, "square_rule")),
         )
-        cohomology.append(_flat(CohomologyEntry, e, where, presentation=pres, poincare=poincare))
+        cohomology.append(_flat(CohomologyEntry, e, where, presentation=pres))
     c = _field(data, "", "char_classes", dict)
     char = _flat(
         CharClassReport,
@@ -665,28 +678,48 @@ def _table_rows(
     return list(_rows(chunk, primes, fmt))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def generate_table(spec: GridSpec) -> Iterator[bytes]:
     """Yield rendered rows (no trailing newlines) in lexicographic (n, k, m)
     order; CSV starts with the header row.  The output is byte-identical for
     any ``jobs`` value: workers only compute, rows come back in grid order.
 
     The grid is walked lazily, so the first row never waits for the rest of
-    it.  Pool workers take chunks of ``_CHUNK_CAP`` rows, and at most two
-    chunks per worker are in flight: one more is submitted each time a
-    chunk's rows have been yielded.  At most min(jobs, CPU count, chunks the
-    grid fills) workers are started; with fewer than two, rows are computed
-    in-process.  JSON rows of one (n, k) share their cohomology entries
-    within each chunk of ``_CHUNK_CAP`` rows, serial or pooled (see
-    ``_rows``)."""
+    it.  With jobs = 1 or one usable CPU, rows are computed in-process.
+    Otherwise the grid is cut into chunks of ``_CHUNK_CAP`` rows.  Chunk 0
+    is computed in-process, and its first row is yielded before any pool
+    exists: a reader that stops there starts no process and never imports
+    ``concurrent.futures``.  The pool starts when the second row is asked
+    for, and its workers take the chunks after chunk 0 while the rest of
+    chunk 0 is yielded.  At most two chunks per worker are in flight: one
+    more is submitted each time a worker chunk's rows have been yielded.  At
+    most min(jobs, usable CPUs, chunks after chunk 0) workers are started;
+    with fewer than two, the rest of the grid is computed in-process too.
+    JSON rows of one (n, k) share their cohomology entries within each
+    chunk of ``_CHUNK_CAP`` rows (see ``_rows``)."""
     if spec.fmt == "csv":
         yield CSV_HEADER.encode()
     points = _grid_points(spec)
+    workers = min(spec.jobs, _usable_cpus())
+    if workers < 2:
+        yield from _rows(points, spec.primes, spec.fmt)
+        return
     chunks = iter(lambda: list(islice(points, _CHUNK_CAP)), [])
-    workers = min(spec.jobs, os.cpu_count() or 1)
-    window = list(islice(chunks, 2 * workers)) if workers > 1 else []
+    first = _rows(next(chunks, []), spec.primes, spec.fmt)
+    yield from islice(first, 1)
+    window = list(islice(chunks, 2 * workers))
     workers = min(workers, len(window))
     if workers < 2:
-        yield from _rows(chain(*window, points), spec.primes, spec.fmt)
+        # rows follow chunk 0 only when it is full, so the memos start at the
+        # same rows as in one walk of the grid
+        yield from chain(first, _rows(chain(*window, points), spec.primes, spec.fmt))
         return
     # imported here, so commands that start no pool never load it
     from concurrent.futures import ProcessPoolExecutor
@@ -694,6 +727,7 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         pending = deque(pool.submit(_table_rows, c, spec.primes, spec.fmt) for c in window)
+        yield from first
         while pending:
             yield from pending.popleft().result()
             for chunk in islice(chunks, 1):

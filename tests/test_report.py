@@ -3,7 +3,9 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import logging
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -298,12 +300,9 @@ class TestJsonWriter:
         def edit(data):
             data["notes"] = [text, text + "!"]
             data["span"]["provenance"] = [text]
-            # a presentation's rendering is rebuilt from its loaded fields
-            data["cohomology"][0]["p"] = text
-            data["cohomology"][1]["exterior_degrees"][0] = text
 
         rep = self._loaded(edit)
-        assert text in rep.cohomology[0].presentation.render()
+        assert rep.notes == (text, text + "!")
         self._assert_dump_bytes(rep)
 
     def test_writer_route_shares_the_poincare_tuples(self):
@@ -329,29 +328,46 @@ class TestJsonWriter:
         self._assert_dump_bytes(self._loaded(edit))
 
     def test_loaded_floats_and_negative_ints(self):
+        # negative ints load; floats in int fields are rejected by the
+        # loader, but a report built in Python may hold them, and the writer
+        # must give the dump's bytes for both
         def edit(data):
-            b = data["basic"]
-            b["dimension"], b["pi1_order"] = 1.5, float("nan")
-            b["euler_characteristic"], b["picard_order"] = float("inf"), float("-inf")
             data["torsion"]["height"] = -3
-            data["span"]["span_lower"], data["span"]["span_upper"] = -1, -0.0
-            term = data["char_classes"]["pontrjagin"][0]
-            term["modulus"], term["reduced"] = -7, 1e300
+            data["span"]["span_lower"] = -1
+            data["char_classes"]["pontrjagin"][0]["modulus"] = -7
             data["cohomology"][0]["total_dimension"] = -(10**30)
 
-        self._assert_dump_bytes(self._loaded(edit))
+        rep = self._loaded(edit)
+        self._assert_dump_bytes(rep)
+        floats = replace(
+            rep,
+            basic=replace(rep.basic, dimension=1.5, pi1_order=float("nan"),
+                          euler_characteristic=float("inf"), picard_order=float("-inf")),
+            span=replace(rep.span, span_upper=-0.0),
+            char_classes=replace(rep.char_classes, pontrjagin=(
+                replace(rep.char_classes.pontrjagin[0], reduced=1e300),
+                *rep.char_classes.pontrjagin[1:],
+            )),
+        )
+        self._assert_dump_bytes(floats)
+        with pytest.raises(ValueError, match="must be an int, got float"):
+            report.report_from_dict(report_to_dict(floats))
 
     def test_loaded_containers_in_scalar_fields(self):
-        # report_from_dict does not check these fields, so the writer meets
-        # whatever JSON put there, empty containers and nesting included; only
-        # the cohomology entries' Poincare lists are known to hold ints
-        def edit(data):
-            b = data["basic"]
-            b["dimension"], b["pi1_order"] = {}, []
-            b["picard_order"] = {"a": [{}, [], None, True], "poincare": [True, "x", True]}
-            data["torsion"]["height"] = None
-
-        self._assert_dump_bytes(self._loaded(edit))
+        # the loader rejects these, but a report built in Python may hold
+        # any value, empty containers and nesting included, and the writer
+        # meets it; only the cohomology entries' Poincare lists are known to
+        # hold ints
+        rep = compute_report(validate(9, 4, 6), (2, 3, 5))
+        odd = replace(
+            rep,
+            basic=replace(rep.basic, dimension={}, pi1_order=[], picard_order={
+                "a": [{}, [], None, True], "poincare": [True, "x", True]}),
+            torsion=replace(rep.torsion, height=None),
+        )
+        self._assert_dump_bytes(odd)
+        with pytest.raises(ValueError, match="must be an int, got"):
+            report.report_from_dict(report_to_dict(odd))
 
     @pytest.mark.parametrize("entries", [[True], ["1"], [1.0], [True, "x", 1.5, "x", True]])
     def test_loader_rejects_non_int_poincare_entries(self, entries):
@@ -413,6 +429,28 @@ class TestJsonWriter:
                 lambda d: d["char_classes"]["stiefel_whitney"][2].update(present=1) or d,
                 r"char_classes\.stiefel_whitney\[2\]\.present must be a bool, got int",
             ),
+            # int fields and int lists: each of these loaded and rendered in
+            # all three formats
+            (lambda d: d["basic"].update(dimension={}) or d, r"basic\.dimension must be an int, got dict"),
+            (lambda d: d["basic"].update(dimension="12") or d, r"basic\.dimension must be an int, got str"),
+            (lambda d: d["torsion"].update(height=2.5) or d, r"torsion\.height must be an int, got float"),
+            (lambda d: d["span"].update(span_lower=True) or d, r"span\.span_lower must be an int, got bool"),
+            (
+                lambda d: d["torsion"].update(orders=["a", 1, 2, 3]) or d,
+                r"torsion\.orders entries must be ints, got \['str'\]",
+            ),
+            (
+                lambda d: d["cohomology"][0].update(exterior_degrees=[True]) or d,
+                r"cohomology\[0\]\.exterior_degrees entries must be ints, got \['bool'\]",
+            ),
+            (
+                lambda d: d["cohomology"][1].update(deg2_truncation=3.0) or d,
+                r"cohomology\[1\]\.deg2_truncation must be an int, got float",
+            ),
+            (
+                lambda d: d["char_classes"]["pontrjagin"][0].update(modulus="6") or d,
+                r"char_classes\.pontrjagin\[0\]\.modulus must be an int, got str",
+            ),
         ],
     )
     def test_loader_names_the_bad_field(self, edit, message):
@@ -471,8 +509,10 @@ class TestTable:
         assert render_table(spec1) == render_table(spec2)
 
     def test_pooled_rows_stream_from_the_grid(self, monkeypatch, inline_pool):
-        # the pool path walks the grid lazily too: the first row of a
-        # 352k-point table waits for one window of chunks, not the grid
+        # the pool path walks the grid lazily too, and computes chunk 0
+        # itself: the first row of a 352k-point table waits for one chunk of
+        # grid points and no pool; the pool starts when the next row is asked
+        # for
         calls = []
 
         def counted(*args):
@@ -480,17 +520,20 @@ class TestTable:
             return validate(*args)
 
         monkeypatch.setattr(report, "validate", counted)
-        monkeypatch.setattr(report.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
         spec = GridSpec(n_range=(3, 60), k_range=None, m_range=(2, 200), jobs=2)
         rows = generate_table(spec)
         assert next(rows) == CSV_HEADER.encode()
         assert next(rows).startswith(b"3,1,2,")
+        assert inline_pool["started"] == []
+        assert len(calls) <= report._CHUNK_CAP + 1
+        assert next(rows).startswith(b"3,1,3,")
         assert inline_pool["started"] == [2]
-        assert len(calls) <= 2 * 2 * report._CHUNK_CAP + 1
+        assert len(calls) <= (1 + 2 * 2) * report._CHUNK_CAP + 1
         rows.close()
 
     def test_worker_count_is_bounded(self, monkeypatch, inline_pool):
-        monkeypatch.setattr(report.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 4)
         # 5 k values per m over n 3..4: 1300 rows fill 21 chunks of 64
         wide = GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 261))
         serial = render_table(wide)
@@ -499,8 +542,8 @@ class TestTable:
         for spec, jobs, workers in [
             (wide, 10**9, 4),  # CPU count bounds
             (wide, 3, 3),  # jobs bounds
-            (replace(wide, m_range=(2, 27)), 10**9, 3),  # 130 rows: 3 chunks bound
-            (replace(wide, m_range=(2, 14)), 10**9, 2),  # 65 rows: 2 chunks
+            # 130 rows: chunk 0 and two chunks after it, which bound
+            (replace(wide, m_range=(2, 27)), 10**9, 2),
         ]:
             inline_pool.update(started=[], peak=0)
             table = render_table(replace(spec, jobs=jobs))
@@ -510,15 +553,54 @@ class TestTable:
             if spec is wide:
                 assert table == serial
                 assert inline_pool["peak"] == 2 * workers  # the window fills
-        # fewer than two chunks: rows are computed in-process
-        inline_pool.update(started=[])
-        ten_rows = GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 3), jobs=10**9)
-        assert render_table(ten_rows) == render_table(replace(ten_rows, jobs=1))
-        assert inline_pool["started"] == []
+        # fewer than two chunks after chunk 0: rows are computed in-process
+        for m_range in [(2, 3), (2, 14)]:  # 10 rows, 65 rows
+            inline_pool.update(started=[])
+            few = GridSpec(n_range=(3, 4), k_range=None, m_range=m_range, jobs=10**9)
+            assert render_table(few) == render_table(replace(few, jobs=1))
+            assert inline_pool["started"] == []
         # one usable CPU: rows are computed in-process
-        monkeypatch.setattr(report.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 1)
         assert render_table(replace(wide, jobs=10**9)) == serial
         assert inline_pool["started"] == []
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch, inline_pool, affinity):
+        # a process pinned to one CPU of eight computes its rows in-process
+        monkeypatch.setattr(report.os, "cpu_count", lambda: 8)
+        if affinity:
+            monkeypatch.setattr(report.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+            assert report._usable_cpus() == 1
+        else:
+            # no affinity call on this platform: the CPU count bounds
+            monkeypatch.delattr(report.os, "sched_getaffinity", raising=False)
+            assert report._usable_cpus() == 8
+            monkeypatch.setattr(report.os, "cpu_count", lambda: None)
+            assert report._usable_cpus() == 1
+        spec = GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 261), jobs=64)
+        assert render_table(spec) == render_table(replace(spec, jobs=1))
+        assert inline_pool["started"] == []
+
+    def test_first_row_starts_no_pool_in_a_fresh_interpreter(self):
+        # the header and first data row of a pooled table: nothing may have
+        # loaded the pool; the third row must have started it
+        script = (
+            "import sys\n"
+            "from stiefelq import report\n"
+            "report._usable_cpus = lambda: 2\n"
+            "spec = report.GridSpec(n_range=(3, 60), k_range=None, m_range=(2, 200), jobs=2)\n"
+            "rows = report.generate_table(spec)\n"
+            "sys.stdout.buffer.write(next(rows) + b'\\n' + next(rows) + b'\\n')\n"
+            "bad = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+            "assert not bad, bad\n"
+            "next(rows)\n"
+            "assert 'concurrent.futures' in sys.modules\n"
+            "rows.close()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        serial = generate_table(GridSpec(n_range=(3, 3), k_range=(1, 1), m_range=(2, 2)))
+        assert proc.stdout == b"".join(row + b"\n" for row in serial)
 
     def test_json_rows_parse(self):
         spec = GridSpec(n_range=(3, 3), k_range=None, m_range=(2, 3), fmt="json")
@@ -536,7 +618,7 @@ class TestTable:
         # runs of 14 rows per (n, k), k = 1 among them, straddle the 64-row
         # chunks; within a run p = 2 meets COPRIME (odd m), TWO_MOD_FOUR and
         # ZERO_MOD_FOUR
-        monkeypatch.setattr(report.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
         spec = GridSpec(n_range=(3, 6), k_range=None, m_range=(2, 15), primes=primes,
                         fmt="json", jobs=jobs)
         rows = list(generate_table(spec))
@@ -586,7 +668,7 @@ class TestTable:
         # one (n, k) over a long m range: each new prime factor of m adds a
         # key, so a memo kept for the whole run would hold one per prime
         # below the top of the range
-        monkeypatch.setattr(report.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
         seen = []
 
         def recorded(params, primes, memo):
@@ -598,6 +680,11 @@ class TestTable:
         monkeypatch.setattr(report, "_cohomology_texts", recorded)
         spec = GridSpec(n_range=(5, 5), k_range=(2, 2), m_range=(2, 400), fmt="json", jobs=jobs)
         assert len(list(generate_table(spec))) == 399
+        assert inline_pool["started"] == ([2] if jobs == 2 else [])
+        # the inline pool computes the window before the rest of chunk 0:
+        # take the rows in grid order, which is m order here
+        seen.sort(key=lambda s: s[1])
+        assert [m for _, m, _ in seen] == list(range(2, 401))
         assert len({id(memo) for memo, _, _ in seen}) == 7
         sizes = []
         for start in range(0, 399, report._CHUNK_CAP):
@@ -630,7 +717,7 @@ class TestTable:
     def test_primes_are_checked_once_per_table(self, monkeypatch, inline_pool, jobs):
         # GridSpec checks --primes and keeps them sorted; rows take them as
         # checked and never prove them again
-        monkeypatch.setattr(report.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 4)
         calls = []
         check = report._check_primes
         monkeypatch.setattr(report, "_check_primes", lambda ps: calls.append(ps) or check(ps))
@@ -644,6 +731,34 @@ class TestTable:
         assert len(rows) == len(points) == 1365
         for row, params in zip(rows, points):
             assert json.loads(row) == report_to_dict(compute_report(params, (3, 5, 2)))
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers inherit the patched row function",
+    )
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # n 3..200 at k = 1 is chunk 0 (n 3..66) and three chunks after it;
+        # the rows for n >= 100 fail, and only a real worker computes them
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+        table_row = report._table_row
+
+        def failing(params, *args):
+            if params.n >= 100:
+                raise ParameterError("too-large", f"n={params.n} in process {os.getpid()}")
+            return table_row(params, *args)
+
+        monkeypatch.setattr(report, "_table_row", failing)
+        rows = []
+        with pytest.raises(ParameterError) as exc:
+            rows.extend(generate_table(GridSpec(n_range=(3, 200), k_range=(1, 1),
+                                                m_range=(2, 2), jobs=2)))
+        assert exc.value.reason == "too-large"
+        n, pid = re.fullmatch(r"n=(\d+) in process (\d+)", str(exc.value)).groups()
+        assert int(n) == 100 and int(pid) != os.getpid()
+        # the header and chunk 0 reach the caller; no row of the worker chunk
+        # of n 67..130 does, since rows come back a chunk at a time
+        assert len(rows) == 1 + report._CHUNK_CAP
+        assert rows[-1].startswith(b"66,1,2,")
 
 
 class TestCli:
@@ -747,9 +862,11 @@ class TestCli:
 
     @pytest.mark.parametrize("grid", [["--n", "4..4"], ["--n", "3..200", "--k", "1..1"]])
     def test_pooled_table_too_large_m_exits_2(self, grid):
-        # 2^89 - 1 is prime but beyond what is_prime can prove.  n 3..200 at
-        # k = 1 fills four chunks, so the error is raised in a pool worker
-        # and has to cross back pickled
+        # 2^89 - 1 is prime but beyond what is_prime can prove.  Every (n, k)
+        # run holds every m, so a bad m is met in chunk 0, which the parent
+        # computes before any pool starts: the error is raised at row 1 even
+        # where n 3..200 at k = 1 fills four chunks.  An error raised in a
+        # worker is test_worker_error_reaches_the_caller's
         m = str(2**89 - 1)
         argv = ["table", *grid, "--m", f"{m}..{m}", "--jobs", "2"]
         proc = subprocess.run([sys.executable, "-m", "stiefelq", *argv],
