@@ -10,6 +10,7 @@ import argparse
 import logging
 import os
 import sys
+from itertools import islice
 
 from stiefelq.manifold import ParameterError, validate
 from stiefelq.report import GridSpec, _json_dossier, compute_report, generate_table, render
@@ -118,6 +119,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
         ) from exc
     rows = generate_table(spec)
     try:
+        # The header and first data row are flushed at once, before the
+        # generator is asked for the row that starts a pool; the rest go out
+        # in blocks.
+        for row in islice(rows, 2 if spec.fmt == "csv" else 1):
+            out.write(row)
+            out.write(b"\n")
+        out.flush()
         for row in rows:
             out.write(row)
             out.write(b"\n")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import cache, partial
@@ -336,7 +337,8 @@ def _known(obj: dict, name: str, keys: Iterable[str]) -> dict:
 # How a loaded field is checked, by its annotation: (value, path) -> value.
 # Bools must be exact bools, since the text dossier prints them through a
 # {True, False} lookup.  Fields of other annotations are taken as they are,
-# or given by the caller.
+# or given by the caller; an annotation that names int or bool and has no
+# check here is refused by _kinds, so no such field loads unchecked.
 _READERS: dict[str, Callable[[Any, str], Any]] = {
     "bool": partial(_typed, kind=bool),
     "int": partial(_typed, kind=int),
@@ -347,7 +349,13 @@ _READERS: dict[str, Callable[[Any, str], Any]] = {
 
 @cache
 def _kinds(cls: type) -> tuple[tuple[str, Callable[[Any, str], Any] | None], ...]:
-    return tuple((f.name, _READERS.get(f.type)) for f in fields(cls))
+    kinds = []
+    for f in fields(cls):
+        read = _READERS.get(f.type)
+        if read is None and re.search(r"\b(?:int|bool)\b", str(f.type)):
+            raise TypeError(f"{cls.__name__}.{f.name}: no loader check for {f.type!r}")
+        kinds.append((f.name, read))
+    return tuple(kinds)
 
 
 def _flat(cls: type[_D], obj: dict, where: str, **given: Any) -> _D:
@@ -697,8 +705,8 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
     is computed in-process, and its first row is yielded before any pool
     exists: a reader that stops there starts no process and never imports
     ``concurrent.futures``.  The pool starts when the second row is asked
-    for, and its workers take the chunks after chunk 0 while the rest of
-    chunk 0 is yielded.  At most two chunks per worker are in flight: one
+    for, so that row pays its start-up, and its workers take the chunks
+    after chunk 0 while the rest of chunk 0 is yielded.  At most two chunks per worker are in flight: one
     more is submitted each time a worker chunk's rows have been yielded.  At
     most min(jobs, usable CPUs, chunks after chunk 0) workers are started;
     with fewer than two, the rest of the grid is computed in-process too.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
 import logging
 import multiprocessing
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import typing
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -460,6 +462,31 @@ class TestJsonWriter:
         with pytest.raises(ValueError, match=message):
             report.report_from_dict(data)
 
+    def test_every_int_or_bool_field_has_a_check(self):
+        # walk the dataclasses a report is made of, as report_from_dict does
+        todo, seen = [report.InvariantReport], set()
+        while todo:
+            cls = todo.pop()
+            if cls in seen:
+                continue
+            seen.add(cls)
+            checks = dict(report._kinds(cls))
+            for f in dataclasses.fields(cls):
+                if re.search(r"\b(?:int|bool)\b", f.type):
+                    assert checks[f.name] is not None, (cls.__name__, f.name)
+            for hint in typing.get_type_hints(cls).values():
+                todo += [t for t in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(t)]
+        assert report.PontrjaginTerm in seen and report.PolyGenerator in seen
+
+    @pytest.mark.parametrize(
+        "annotation", ["Optional[int]", "Tuple[int, ...]", "tuple[int, int]", "list[bool]"]
+    )
+    def test_unchecked_int_annotation_is_refused(self, annotation):
+        # a field spelled other than _READERS' keys would load with no check
+        probe = dataclasses.make_dataclass("Probe", [("x", annotation)])
+        with pytest.raises(TypeError, match=r"Probe\.x: no loader check"):
+            report._kinds(probe)
+
     def test_loader_keeps_negative_poincare_entries(self):
         data = report_to_dict(compute_report(validate(4, 2, 6)))
         data["cohomology"][0]["poincare"] = [-3, 0, 10**25, 0, -3]
@@ -874,6 +901,24 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.strip().endswith(b"[too-large]")
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("fmt, first", [("csv", b"h\nr1\n"), ("json", b"r1\n")])
+    def test_table_flushes_the_first_data_row(self, monkeypatch, tmp_path, fmt, first):
+        # the row after the first data row may start a pool: the first data
+        # row is written out before the CLI asks for it
+        out = tmp_path / "grid"
+        seen = []
+
+        def rows(spec):
+            yield from [b"h", b"r1"] if fmt == "csv" else [b"r1"]
+            seen.append(out.read_bytes())
+            yield b"r2"
+
+        monkeypatch.setattr(cli, "generate_table", rows)
+        argv = ["table", "--n", "3..3", "--m", "2..2", "--format", fmt, "--out", str(out)]
+        assert main(argv) == 0
+        assert seen == [first]
+        assert out.read_bytes() == first + b"r2\n"
 
     def test_jobs_env(self, capsys, monkeypatch):
         monkeypatch.setenv("STIEFEL_JOBS", "2")
