@@ -69,9 +69,8 @@ log = logging.getLogger(__name__)
 
 _D = TypeVar("_D")
 
-# ``json.dumps(value, separators=(",", ":"))``, one table row's layout,
-# with one encoder kept for every call; reports hold no cycles to look for.
-_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+# JSON of a bool, for table rows
+_BOOLS = {True: "true", False: "false"}
 
 # Rows a pool worker takes at once, and the rows of chunk 0, which a pooled
 # table computes in-process: an early stop waits for at most one chunk per
@@ -147,14 +146,15 @@ def _cohomology(
 
 
 class _Memo:
-    """The compact JSON text of cohomology entries of one (n, k), shared
-    across m and keyed by (p, case value); a new (n, k) starts it afresh."""
+    """The compact JSON texts of one (n, k)'s cohomology entries, keyed by
+    (p, case value), and of their Poincare lists, keyed by h, across m."""
 
-    __slots__ = ("n_k", "texts")
+    __slots__ = ("n_k", "texts", "poincare")
 
     def __init__(self) -> None:
         self.n_k: tuple[int, int] | None = None
         self.texts: dict[tuple[int, str], str] = {}
+        self.poincare: dict[int | None, str] = {}
 
 
 def _cohomology_texts(
@@ -162,12 +162,13 @@ def _cohomology_texts(
 ) -> list[str]:
     """``_cohomology`` as the entries' compact JSON texts, through ``memo``.
     m enters an entry only through its case, so an entry is fixed by (n, k,
-    p, case): texts of this (n, k) already in the memo are reused, the
-    missing entries are built and encoded once."""
-    if memo.n_k != (params.n, params.k):
-        memo.n_k = (params.n, params.k)
-        memo.texts = {}
-    texts = memo.texts
+    p, case): entries the memo lacks are written once from one template.
+    Their Poincare lists depend on h (``deg2_truncation``) alone: those of
+    the h values the memo lacks come from one expansion."""
+    n, k = params.n, params.k
+    if memo.n_k != (n, k):
+        memo.n_k, memo.texts, memo.poincare = (n, k), {}, {}
+    texts, lists = memo.texts, memo.poincare
     # the primes are primes already, so the key needs no primality test.
     # It holds the case's value, whose hash is C code, unlike an Enum
     # member's.
@@ -175,8 +176,25 @@ def _cohomology_texts(
     keys = [(p, _case(params.m, p)._value_) for p in ps]
     missing = [key for key in keys if key not in texts]
     if missing:
-        built = _cohomology(params, tuple(p for p, _ in missing))
-        texts.update(zip(missing, [_compact(_entry_dict(e)) for e in built]))
+        built = [presentation(params, p) for p, _ in missing]
+        new = {pres.deg2_truncation: pres for pres in built if pres.deg2_truncation not in lists}
+        if new:
+            # a computed list is a palindrome: only its first half is converted
+            length = k * (2 * n - k) + 1
+            for h, coeffs in zip(new, _poincare_polynomials(list(new.values()), n, k)):
+                half = list(map(repr, coeffs[: (length + 1) // 2]))
+                lists[h] = ",".join(_palindrome(length, half))
+        for key, pres in zip(missing, built):
+            g, h = pres.poly_generator, pres.deg2_truncation
+            pg = "null" if g is None else f'{{"degree":{g.degree!r},"truncation":{g.truncation!r}}}'
+            texts[key] = (
+                f'{{"p":{pres.p!r},"case":"{key[1]}","poly_generator":{pg},"exterior_degrees":'
+                f'[{",".join(map(repr, pres.exterior_degrees))}],"square_rule":'
+                f'"{pres.square_rule._value_}","deg2_truncation":'
+                f'{"null" if h is None else repr(h)},"rendering":'
+                f'{encode_basestring_ascii(pres.render())},"poincare":[{lists[h]}],'
+                f'"total_dimension":{total_dimension(pres, k)!r}}}'
+            )
     return [texts[key] for key in keys]
 
 
@@ -310,6 +328,12 @@ def _ints(value: Any, name: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _strs(value: Any, name: str) -> tuple[str, ...]:
+    """The list ``value`` as a tuple, every entry a str."""
+    items = enumerate(_typed(value, name, list))
+    return tuple(_typed(item, f"{name}[{i}]", str) for i, item in items)
+
+
 def _field(obj: dict, where: str, key: str, kind: type = object) -> Any:
     """``obj[key]``, a ``kind``; ``where`` is the path to ``obj`` with a
     trailing dot, empty at the top level."""
@@ -344,6 +368,7 @@ _READERS: dict[str, Callable[[Any, str], Any]] = {
     "int": partial(_typed, kind=int),
     "int | None": lambda value, name: value if value is None else _typed(value, name, int),
     "tuple[int, ...]": _ints,
+    "tuple[str, ...]": _strs,
 }
 
 
@@ -373,8 +398,7 @@ def report_from_dict(data: dict) -> InvariantReport:
     ``ValueError`` naming the field for a missing field, an unknown
     ``params`` or ``poly_generator`` key, or a value that is not the object,
     list, exact bool, exact int (or null, for ``deg2_truncation``), list of
-    exact ints or decimal string the schema puts there.  The strings of
-    ``notes`` and ``provenance`` are taken as they are."""
+    exact ints, list of strings or decimal string the schema puts there."""
     data = _typed(data, "report", dict)
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version: {data.get('schema_version')!r}")
@@ -423,17 +447,11 @@ def report_from_dict(data: dict) -> InvariantReport:
         "span.",
         parallelizable=TriState(_field(s, "span.", "parallelizable")),
         stably_parallelizable=TriState(_field(s, "span.", "stably_parallelizable")),
-        provenance=tuple(_field(s, "span.", "provenance", list)),
     )
-    return InvariantReport(
-        params=params,
-        basic=_flat(BasicInvariants, _field(data, "", "basic", dict), "basic."),
-        torsion=torsion,
-        cohomology=tuple(cohomology),
-        char_classes=char,
-        span=span,
-        notes=tuple(_field(data, "", "notes", list)),
-    )
+    basic = _flat(BasicInvariants, _field(data, "", "basic", dict), "basic.")
+    # the one field left, ``notes``, is read by its annotation
+    return _flat(InvariantReport, data, "", params=params, basic=basic, torsion=torsion,
+                 cohomology=tuple(cohomology), char_classes=char, span=span)
 
 
 def report_from_json(text: str | bytes) -> InvariantReport:
@@ -647,15 +665,36 @@ def _grid_points(spec: GridSpec) -> Iterator[ManifoldParams]:
 
 
 def _json_row(report: InvariantReport, texts: Iterable[str]) -> bytes:
-    """``_compact(_report_dict(report))`` with ``texts``, encoded entries,
-    as its cohomology; ``report`` holds none.  The sections before and
-    after the cohomology are encoded apart and joined around the texts."""
-    data = _report_dict(report)
-    keys = list(data)
-    i = keys.index("cohomology")
-    head = _compact({key: data[key] for key in keys[:i]})
-    tail = _compact({key: data[key] for key in keys[i + 1 :]})
-    return f'{head[:-1]},"cohomology":[{",".join(texts)}],{tail[1:]}'.encode()
+    """``json.dumps(report_to_dict(report), separators=(",", ":"))``, encoded,
+    with ``texts``, compact entries, as the cohomology ``report`` lacks.  One
+    template per section: exact ints through ``repr``, ``raw_coefficient``
+    through ``_int_to_decimal``, strings through ``encode_basestring_ascii``."""
+    p, b, t, c, s = report.params, report.basic, report.torsion, report.char_classes, report.span
+    tf = _BOOLS
+    pontrjagin = ",".join([
+        f'{{"j":{x.j!r},"raw_coefficient":"{_int_to_decimal(x.raw_coefficient)}","modulus":'
+        f'{x.modulus!r},"reduced":{x.reduced!r},"is_zero":{tf[x.is_zero]}}}' for x in c.pontrjagin])
+    sw = ",".join([f'{{"degree":{x.degree!r},"present":{tf[x.present]}}}' for x in c.stiefel_whitney])
+    return (
+        f'{{"schema_version":{SCHEMA_VERSION},"params":{{"n":{p.n!r},"k":{p.k!r},"m":{p.m!r}}},'
+        f'"basic":{{"dimension":{b.dimension!r},"pi1_order":{b.pi1_order!r},'
+        f'"euler_characteristic":{b.euler_characteristic!r},"orientable":{tf[b.orientable]},'
+        f'"picard_order":{b.picard_order!r},'
+        f'"almost_complex_guaranteed":{tf[b.almost_complex_guaranteed]},'
+        f'"complex_structure_guaranteed":{tf[b.complex_structure_guaranteed]}}},'
+        f'"torsion":{{"orders":[{",".join(map(repr, t.orders))}],"height":{t.height!r}}},'
+        f'"cohomology":[{",".join(texts)}],'
+        f'"char_classes":{{"pontrjagin":[{pontrjagin}],"stiefel_whitney":[{sw}],'
+        f'"all_pontrjagin_vanish":{tf[c.all_pontrjagin_vanish]},'
+        f'"all_sw_vanish":{tf[c.all_sw_vanish]}}},'
+        f'"span":{{"span_lower":{s.span_lower!r},"span_upper":{s.span_upper!r},'
+        f'"stable_span_lower":{s.stable_span_lower!r},'
+        f'"span_eq_stable_guaranteed":{tf[s.span_eq_stable_guaranteed]},'
+        f'"parallelizable":"{s.parallelizable._value_}",'
+        f'"stably_parallelizable":"{s.stably_parallelizable._value_}",'
+        f'"provenance":[{",".join(map(encode_basestring_ascii, s.provenance))}]}},'
+        f'"notes":[{",".join(map(encode_basestring_ascii, report.notes))}]}}'
+    ).encode()
 
 
 def _table_row(

@@ -453,6 +453,13 @@ class TestJsonWriter:
                 lambda d: d["char_classes"]["pontrjagin"][0].update(modulus="6") or d,
                 r"char_classes\.pontrjagin\[0\]\.modulus must be an int, got str",
             ),
+            # string lists: each of these used to load and print as JSON
+            # ``7`` or ``null`` where the schema has a string
+            (lambda d: d.update(notes=["fine", 7]) or d, r"notes\[1\] must be a str, got int"),
+            (
+                lambda d: d["span"]["provenance"].insert(0, None) or d,
+                r"span\.provenance\[0\] must be a str, got NoneType",
+            ),
         ],
     )
     def test_loader_names_the_bad_field(self, edit, message):
@@ -652,13 +659,27 @@ class TestTable:
         assert inline_pool["started"] == ([2] if jobs == 2 else [])
         points = list(report._grid_points(spec))
         assert len(rows) == len(points) == 14 * 14
-        cases = set()
+        cases, shapes = set(), set()
         for row, params in zip(rows, points):
             rep = compute_report(params, primes)
             assert row == json.dumps(report_to_dict(rep), separators=(",", ":")).encode()
             cases.update((e.p, e.presentation.case.value) for e in rep.cohomology)
+            shapes.add((bool(rep.notes), bool(rep.char_classes.stiefel_whitney), params.m % 4))
         assert {"COPRIME", "TWO_MOD_FOUR", "ZERO_MOD_FOUR", "ODD_DIVIDES"} == {c for _, c in cases}
         assert ((17, "COPRIME") in cases) == (primes is not None)
+        # k = 1 rows carry the notes; m = 2 (mod 4) rows Stiefel-Whitney terms
+        assert {(True, True, 2), (False, True, 2), (True, False, 1), (False, False, 3)} <= shapes
+        assert not any(sw for _, sw, m4 in shapes if m4 != 2)
+
+    def test_json_row_escapes_notes_and_provenance(self):
+        params = validate(6, 1, 10)
+        rep = compute_report(params)
+        odd = ('quote " backslash \\ nul \0 e-acute \u00e9', "\u00e9\\\"\0")
+        edited = replace(rep, notes=odd, span=replace(rep.span, provenance=odd + rep.span.provenance))
+        texts = report._cohomology_texts(params, None, report._Memo())
+        row = report._json_row(replace(edited, cohomology=()), texts)
+        assert row == json.dumps(report_to_dict(edited), separators=(",", ":")).encode()
+        assert rb'\u00e9' in row and rb'\"' in row and rb"\\" in row and rb"\u0000" in row
 
     def test_json_rows_build_each_entry_once_per_n_k(self, monkeypatch):
         built = []
@@ -686,9 +707,43 @@ class TestTable:
         memo = report._Memo()
         first = report._cohomology_texts(validate(7, 3, 6), None, memo)
         assert report._cohomology_texts(validate(7, 3, 12), None, memo)[1] is first[1]  # p = 3
+        # three entries, two lists: h = 5 for both cases of p = 2, h = 6 for p = 3
+        assert len(memo.texts) == 3 and set(memo.poincare) == {5, 6}
         report._cohomology_texts(validate(7, 4, 6), None, memo)
         assert memo.n_k == (7, 4)
         assert set(memo.texts) == {(2, "TWO_MOD_FOUR"), (3, "ODD_DIVIDES")}
+        # C(7, 4) is nonzero mod 2 and mod 3: both entries print the list of h = 4
+        assert set(memo.poincare) == {4}
+        assert all(f'"poincare":[{memo.poincare[4]}]' in text for text in memo.texts.values())
+
+    def test_json_rows_expand_each_poincare_list_once_per_h(self, monkeypatch):
+        # a Poincare list of one (n, k) depends on its truncation exponent h
+        # alone, so each chunk of rows expands one list per h it meets, not
+        # one per (p, case)
+        n, k = 30, 10
+        rows, passed = [], []
+
+        def counted(presentations, n, k):
+            passed.append((len(rows) // report._CHUNK_CAP, presentations))
+            return poincare_polynomials(presentations, n, k)
+
+        poincare_polynomials = report._poincare_polynomials
+        monkeypatch.setattr(report, "_poincare_polynomials", counted)
+        spec = GridSpec(n_range=(n, n), k_range=(k, k), m_range=(2, 401), fmt="json")
+        for row in generate_table(spec):
+            rows.append(row)
+        assert len(rows) == 400
+        for chunk in range(7):
+            ms = range(2 + chunk * report._CHUNK_CAP, min(402, 2 + (chunk + 1) * report._CHUNK_CAP))
+            keys = {(p, modp.classify(m, p)) for m in ms for p in default_primes(m)}
+            hs = {None if case is modp.CohomologyCase.COPRIME else modp.truncation_exponent(n, k, p)
+                  for p, case in keys}
+            got = [pres.deg2_truncation for c, ps in passed if c == chunk for pres in ps]
+            assert sorted(got, key=str) == sorted(hs, key=str)
+            assert len(keys) > 2 * len(hs)
+        for row, m in zip(rows, range(2, 402)):
+            assert row == json.dumps(report_to_dict(compute_report(validate(n, k, m))),
+                                     separators=(",", ":")).encode()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_memo_holds_at_most_one_chunk_of_rows(self, monkeypatch, inline_pool, jobs):
