@@ -69,7 +69,7 @@ log = logging.getLogger(__name__)
 
 _D = TypeVar("_D")
 
-# JSON of a bool, for table rows
+# JSON of a bool
 _BOOLS = {True: "true", False: "false"}
 
 # Rows a pool worker takes at once, and the rows of chunk 0, which a pooled
@@ -162,7 +162,7 @@ def _cohomology_texts(
 ) -> list[str]:
     """``_cohomology`` as the entries' compact JSON texts, through ``memo``.
     m enters an entry only through its case, so an entry is fixed by (n, k,
-    p, case): entries the memo lacks are written once from one template.
+    p, case): entries the memo lacks are written once by ``_json_entry``.
     Their Poincare lists depend on h (``deg2_truncation``) alone: those of
     the h values the memo lacks come from one expansion."""
     n, k = params.n, params.k
@@ -179,22 +179,11 @@ def _cohomology_texts(
         built = [presentation(params, p) for p, _ in missing]
         new = {pres.deg2_truncation: pres for pres in built if pres.deg2_truncation not in lists}
         if new:
-            # a computed list is a palindrome: only its first half is converted
-            length = k * (2 * n - k) + 1
             for h, coeffs in zip(new, _poincare_polynomials(list(new.values()), n, k)):
-                half = list(map(repr, coeffs[: (length + 1) // 2]))
-                lists[h] = ",".join(_palindrome(length, half))
+                lists[h] = _json_ints(coeffs, _COMPACT.lists[3][1])
         for key, pres in zip(missing, built):
-            g, h = pres.poly_generator, pres.deg2_truncation
-            pg = "null" if g is None else f'{{"degree":{g.degree!r},"truncation":{g.truncation!r}}}'
-            texts[key] = (
-                f'{{"p":{pres.p!r},"case":"{key[1]}","poly_generator":{pg},"exterior_degrees":'
-                f'[{",".join(map(repr, pres.exterior_degrees))}],"square_rule":'
-                f'"{pres.square_rule._value_}","deg2_truncation":'
-                f'{"null" if h is None else repr(h)},"rendering":'
-                f'{encode_basestring_ascii(pres.render())},"poincare":[{lists[h]}],'
-                f'"total_dimension":{total_dimension(pres, k)!r}}}'
-            )
+            entry = _json_entry(pres, lists[pres.deg2_truncation], total_dimension(pres, k), _COMPACT)
+            texts[key] = "".join(entry)
     return [texts[key] for key in keys]
 
 
@@ -225,79 +214,45 @@ def _compute_report(
 # --- serialization -----------------------------------------------------------
 
 
-def _presentation_dict(pres: RingPresentation) -> dict:
-    pg = pres.poly_generator
-    return {
-        "p": pres.p,
-        "case": pres.case.value,
-        "poly_generator": None
-        if pg is None
-        else {"degree": pg.degree, "truncation": pg.truncation},
-        "exterior_degrees": list(pres.exterior_degrees),
-        "square_rule": pres.square_rule.value,
-        "deg2_truncation": pres.deg2_truncation,
-        "rendering": pres.render(),
-    }
-
-
-def _entry_dict(entry: CohomologyEntry) -> dict:
-    return {
-        **_presentation_dict(entry.presentation),
-        "poincare": entry.poincare,
-        "total_dimension": entry.total_dimension,
-    }
-
-
 def report_to_dict(report: InvariantReport) -> dict:
-    """The JSON schema of a report as plain dicts, lists and scalars."""
-    data = _report_dict(report)
-    for e in data["cohomology"]:
-        e["poincare"] = list(e["poincare"])
-    return data
-
-
-def _report_dict(report: InvariantReport) -> dict:
-    """``report_to_dict`` with each Poincare polynomial left as the report's
-    own tuple, not copied; ``json`` writes a tuple exactly as a list."""
-    p, b, s = report.params, report.basic, report.span
+    """The JSON schema of a report as plain dicts, lists and scalars.  No
+    writer goes through it, so the standard library's dumps of it check the
+    JSON that ``render`` and table rows write."""
+    p, b, t, c, s = report.params, report.basic, report.torsion, report.char_classes, report.span
+    cohomology = []
+    for e in report.cohomology:
+        pres, g = e.presentation, e.presentation.poly_generator
+        cohomology.append({
+            "p": pres.p, "case": pres.case.value,
+            "poly_generator": None if g is None else {"degree": g.degree, "truncation": g.truncation},
+            "exterior_degrees": list(pres.exterior_degrees), "square_rule": pres.square_rule.value,
+            "deg2_truncation": pres.deg2_truncation, "rendering": pres.render(),
+            "poincare": list(e.poincare), "total_dimension": e.total_dimension,
+        })
     return {
         "schema_version": SCHEMA_VERSION,
         "params": {"n": p.n, "k": p.k, "m": p.m},
         "basic": {
-            "dimension": b.dimension,
-            "pi1_order": b.pi1_order,
-            "euler_characteristic": b.euler_characteristic,
-            "orientable": b.orientable,
+            "dimension": b.dimension, "pi1_order": b.pi1_order,
+            "euler_characteristic": b.euler_characteristic, "orientable": b.orientable,
             "picard_order": b.picard_order,
             "almost_complex_guaranteed": b.almost_complex_guaranteed,
             "complex_structure_guaranteed": b.complex_structure_guaranteed,
         },
-        "torsion": {
-            "orders": list(report.torsion.orders),
-            "height": report.torsion.height,
-        },
-        "cohomology": [_entry_dict(e) for e in report.cohomology],
+        "torsion": {"orders": list(t.orders), "height": t.height},
+        "cohomology": cohomology,
         "char_classes": {
             "pontrjagin": [
-                {
-                    "j": t.j,
-                    "raw_coefficient": _int_to_decimal(t.raw_coefficient),
-                    "modulus": t.modulus,
-                    "reduced": t.reduced,
-                    "is_zero": t.is_zero,
-                }
-                for t in report.char_classes.pontrjagin
+                {"j": x.j, "raw_coefficient": _int_to_decimal(x.raw_coefficient),
+                 "modulus": x.modulus, "reduced": x.reduced, "is_zero": x.is_zero}
+                for x in c.pontrjagin
             ],
-            "stiefel_whitney": [
-                {"degree": t.degree, "present": t.present}
-                for t in report.char_classes.stiefel_whitney
-            ],
-            "all_pontrjagin_vanish": report.char_classes.all_pontrjagin_vanish,
-            "all_sw_vanish": report.char_classes.all_sw_vanish,
+            "stiefel_whitney": [{"degree": x.degree, "present": x.present} for x in c.stiefel_whitney],
+            "all_pontrjagin_vanish": c.all_pontrjagin_vanish,
+            "all_sw_vanish": c.all_sw_vanish,
         },
         "span": {
-            "span_lower": s.span_lower,
-            "span_upper": s.span_upper,
+            "span_lower": s.span_lower, "span_upper": s.span_upper,
             "stable_span_lower": s.stable_span_lower,
             "span_eq_stable_guaranteed": s.span_eq_stable_guaranteed,
             "parallelizable": s.parallelizable.value,
@@ -400,8 +355,9 @@ def report_from_dict(data: dict) -> InvariantReport:
     list, exact bool, exact int (or null, for ``deg2_truncation``), list of
     exact ints, list of strings or decimal string the schema puts there."""
     data = _typed(data, "report", dict)
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version: {data.get('schema_version')!r}")
+    # exactly the int: True and 1.0 compare equal to 1
+    if _field(data, "", "schema_version", int) != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version: {data['schema_version']!r}")
     p = _known(_field(data, "", "params", dict), "params", ("n", "k", "m"))
     params = validate(*(_field(p, "params.", key) for key in ("n", "k", "m")))
     torsion = _flat(TorsionProfile, _field(data, "", "torsion", dict), "torsion.")
@@ -455,7 +411,13 @@ def report_from_dict(data: dict) -> InvariantReport:
 
 
 def report_from_json(text: str | bytes) -> InvariantReport:
-    return report_from_dict(json.loads(text))
+    """``report_from_dict`` of the JSON ``text``.  Raises ``ValueError`` for
+    text that is not JSON, or is nested too deeply for ``json`` to parse."""
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply to parse") from exc
+    return report_from_dict(data)
 
 
 def _csv_row(report: InvariantReport) -> str:
@@ -531,71 +493,152 @@ def _text_dossier(report: InvariantReport) -> str:
     return "\n".join(lines)
 
 
-def _json_write(value: object, indent: str, out: list[str], int_lists: set[int]) -> None:
-    """Append ``json.dumps(value, indent=2)`` to ``out`` in pieces, for a value
-    that starts on a line indented by ``indent`` (a newline, then spaces).
+# --- JSON --------------------------------------------------------------------
 
-    Strings go through the C escaper that ``json.dumps`` uses for
-    ``ensure_ascii``; exact ints through ``repr``; ``True``, ``False`` and
-    ``None`` are literals; any other scalar goes through ``json.dumps``.  A
-    list whose ``id`` is in ``int_lists`` holds exact ints only and is joined
-    in one step.  When it reads the same backwards, only its first half is
-    converted; the check is made, never assumed, since a loaded list need
-    not be a palindrome."""
-    if type(value) is int:
-        out.append(repr(value))
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            sep = "," + inner
-            _json_write(item, inner, out, int_lists)
-        out.append(indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        if id(value) in int_lists:
-            if value == value[::-1]:
-                half = list(map(repr, value[: (len(value) + 1) // 2]))
-                strs = _palindrome(len(value), half)
-            else:
-                strs = map(repr, value)
-            out += "[" + inner, ("," + inner).join(strs), indent + "]"
-            return
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            sep = "," + inner
-            _json_write(item, inner, out, int_lists)
-        out.append(indent + "]")
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    else:
-        out.append(json.dumps(value))
+# The opening, item separator and closing of an empty list
+_EMPTY = ("[", "", "]")
+
+
+class _Layout:
+    """The layout of ``json.dumps`` that its keyword arguments select, as
+    the texts between the values of each template: the dump of the
+    template's skeleton, indented as an item at the depth the template
+    writes, cut at each hole.  A text is all that runs from one value to the
+    next: brackets, commas, newlines and indents, a key and its separator."""
+
+    def __init__(self, **dumps_args: Any) -> None:
+        def runs(skeleton: object, depth: int) -> tuple[str, ...]:
+            text = json.dumps(skeleton, **dumps_args).replace("\n", "\n" + "  " * depth)
+            return tuple(text.split(json.dumps(_)))
+
+        _ = "\0"  # a value
+        self.report = runs({
+            "schema_version": _, "params": {"n": _, "k": _, "m": _},
+            "basic": {"dimension": _, "pi1_order": _, "euler_characteristic": _, "orientable": _,
+                      "picard_order": _, "almost_complex_guaranteed": _,
+                      "complex_structure_guaranteed": _},
+            "torsion": {"orders": _, "height": _}, "cohomology": _,
+            "char_classes": {"pontrjagin": _, "stiefel_whitney": _, "all_pontrjagin_vanish": _,
+                             "all_sw_vanish": _},
+            "span": {"span_lower": _, "span_upper": _, "stable_span_lower": _,
+                     "span_eq_stable_guaranteed": _, "parallelizable": _,
+                     "stably_parallelizable": _, "provenance": _},
+            "notes": _,
+        }, 0)
+        self.entry = runs({
+            "p": _, "case": _, "poly_generator": _, "exterior_degrees": _, "square_rule": _,
+            "deg2_truncation": _, "rendering": _, "poincare": _, "total_dimension": _,
+        }, 2)
+        self.poly_generator = runs({"degree": _, "truncation": _}, 3)
+        self.pontrjagin = runs({"j": _, "raw_coefficient": _, "modulus": _, "reduced": _,
+                                "is_zero": _}, 3)
+        self.stiefel_whitney = runs({"degree": _, "present": _}, 3)
+        # the opening, item separator and closing of a nonempty list, by depth
+        self.lists = [runs([_, _], depth) for depth in range(4)]
+
+
+_INDENTED = _Layout(indent=2)
+_COMPACT = _Layout(separators=(",", ":"))
+
+
+def _json_ints(values: Sequence[int], sep: str) -> str:
+    """The exact ints ``values`` through ``repr``, joined by ``sep``.  When
+    the list reads the same backwards (every computed Poincare list does, by
+    Poincare duality; a loaded one is checked), only its first half is
+    converted, and the rest is the same strings in mirror order."""
+    if values == values[::-1]:
+        half = list(map(repr, values[: (len(values) + 1) // 2]))
+        return sep.join(_palindrome(len(values), half))
+    return sep.join(map(repr, values))
+
+
+# The templates name each text after the key whose value follows it.  Exact
+# ints go through ``repr``, ``raw_coefficient`` through ``_int_to_decimal``,
+# strings through ``encode_basestring_ascii`` (enum values need no escapes)
+# and bools through ``_BOOLS``.
+
+
+def _json_entry(
+    pres: RingPresentation, coefficients: str, total: int, layout: _Layout
+) -> tuple[str, str, str]:
+    """A cohomology entry: the text before the coefficients of its Poincare
+    list, ``coefficients`` (from ``_json_ints``) as they are, and the text
+    after them."""
+    p, case, poly_generator, exterior_degrees, square_rule, deg2_truncation, rendering, \
+        poincare, total_dimension, end = layout.entry
+    degree, truncation, pg_end = layout.poly_generator
+    g, h, ext = pres.poly_generator, pres.deg2_truncation, pres.exterior_degrees
+    pg = "null" if g is None else f"{degree}{g.degree!r}{truncation}{g.truncation!r}{pg_end}"
+    ext_open, ext_sep, ext_close = layout.lists[3] if ext else _EMPTY
+    opening, _, closing = layout.lists[3] if coefficients else _EMPTY
+    return (
+        f'{p}{pres.p!r}{case}"{pres.case._value_}"{poly_generator}{pg}'
+        f"{exterior_degrees}{ext_open}{ext_sep.join(map(repr, ext))}{ext_close}"
+        f'{square_rule}"{pres.square_rule._value_}"'
+        f'{deg2_truncation}{"null" if h is None else repr(h)}'
+        f"{rendering}{encode_basestring_ascii(pres.render())}{poincare}{opening}",
+        coefficients,
+        f"{closing}{total_dimension}{total!r}{end}",
+    )
+
+
+def _json_report(report: InvariantReport, layout: _Layout) -> tuple[str, str]:
+    """A report: the text before its cohomology list and the text after it."""
+    schema_version, n, k, m, dimension, pi1_order, euler_characteristic, orientable, \
+        picard_order, almost_complex_guaranteed, complex_structure_guaranteed, orders, \
+        height, cohomology, pontrjagin, stiefel_whitney, all_pontrjagin_vanish, all_sw_vanish, \
+        span_lower, span_upper, stable_span_lower, span_eq_stable_guaranteed, parallelizable, \
+        stably_parallelizable, provenance, notes, end = layout.report
+    j, raw_coefficient, modulus, reduced, is_zero, term_end = layout.pontrjagin
+    degree, present, sw_end = layout.stiefel_whitney
+    p, b, o, c, s = report.params, report.basic, report.torsion, report.char_classes, report.span
+    tf = _BOOLS
+    o_open, o_sep, o_close = layout.lists[2] if o.orders else _EMPTY
+    terms_open, terms_sep, terms_close = layout.lists[2] if c.pontrjagin else _EMPTY
+    sw_open, sw_sep, sw_close = layout.lists[2] if c.stiefel_whitney else _EMPTY
+    pr_open, pr_sep, pr_close = layout.lists[2] if s.provenance else _EMPTY
+    notes_open, notes_sep, notes_close = layout.lists[1] if report.notes else _EMPTY
+    terms = terms_sep.join([
+        f'{j}{x.j!r}{raw_coefficient}"{_int_to_decimal(x.raw_coefficient)}"{modulus}{x.modulus!r}'
+        f"{reduced}{x.reduced!r}{is_zero}{tf[x.is_zero]}{term_end}" for x in c.pontrjagin])
+    sw_terms = sw_sep.join([
+        f"{degree}{x.degree!r}{present}{tf[x.present]}{sw_end}" for x in c.stiefel_whitney])
+    head = (
+        f"{schema_version}{SCHEMA_VERSION}{n}{p.n!r}{k}{p.k!r}{m}{p.m!r}"
+        f"{dimension}{b.dimension!r}{pi1_order}{b.pi1_order!r}"
+        f"{euler_characteristic}{b.euler_characteristic!r}{orientable}{tf[b.orientable]}"
+        f"{picard_order}{b.picard_order!r}"
+        f"{almost_complex_guaranteed}{tf[b.almost_complex_guaranteed]}"
+        f"{complex_structure_guaranteed}{tf[b.complex_structure_guaranteed]}"
+        f"{orders}{o_open}{o_sep.join(map(repr, o.orders))}{o_close}{height}{o.height!r}{cohomology}"
+    )
+    tail = (
+        f"{pontrjagin}{terms_open}{terms}{terms_close}{stiefel_whitney}{sw_open}{sw_terms}{sw_close}"
+        f"{all_pontrjagin_vanish}{tf[c.all_pontrjagin_vanish]}{all_sw_vanish}{tf[c.all_sw_vanish]}"
+        f"{span_lower}{s.span_lower!r}{span_upper}{s.span_upper!r}"
+        f"{stable_span_lower}{s.stable_span_lower!r}"
+        f"{span_eq_stable_guaranteed}{tf[s.span_eq_stable_guaranteed]}"
+        f'{parallelizable}"{s.parallelizable._value_}"'
+        f'{stably_parallelizable}"{s.stably_parallelizable._value_}"'
+        f"{provenance}{pr_open}{pr_sep.join(map(encode_basestring_ascii, s.provenance))}{pr_close}"
+        f"{notes}{notes_open}{notes_sep.join(map(encode_basestring_ascii, report.notes))}"
+        f"{notes_close}{end}"
+    )
+    return head, tail
 
 
 def _json_dossier(report: InvariantReport) -> list[str]:
     """The pieces of ``json.dumps(report_to_dict(report), indent=2) + "\\n"``,
-    byte for byte, from one pass of ``_json_write``.  The Poincare lists
-    hold exact ints (computed ones by construction, loaded ones checked by
-    ``report_from_dict``), and every computed one reads the same backwards
-    by Poincare duality, so only its first half is converted."""
-    data = _report_dict(report)
-    out: list[str] = []
-    _json_write(data, "\n", out, {id(e["poincare"]) for e in data["cohomology"]})
-    out.append("\n")
+    byte for byte: the templates of table rows, in the indented layout.
+    Each Poincare list's coefficients are one piece, not copied: a large
+    report's lists are most of its bytes."""
+    head, tail = _json_report(report, _INDENTED)
+    opening, sep, closing = _INDENTED.lists[1] if report.cohomology else _EMPTY
+    out = [head, opening]
+    for i, e in enumerate(report.cohomology):
+        coefficients = _json_ints(e.poincare, _INDENTED.lists[3][1])
+        out += sep if i else "", *_json_entry(e.presentation, coefficients, e.total_dimension, _INDENTED)
+    out += closing, tail, "\n"
     return out
 
 
@@ -603,7 +646,8 @@ def render(report: InvariantReport, fmt: str) -> bytes:
     """Serialize a report: ``json`` (indented, fixed key order), ``csv_row``
     (one header-less line) or ``text`` (human-readable dossier).  JSON is the
     bytes of ``json.dumps(report_to_dict(report), indent=2)`` plus a newline,
-    written in pieces, joined once and encoded once."""
+    written by the templates of table rows in the indented layout (see
+    ``_json_dossier``), joined once and encoded once."""
     if fmt == "json":
         return "".join(_json_dossier(report)).encode()
     if fmt == "csv_row":
@@ -621,8 +665,9 @@ class GridSpec:
     """A rectangular (n, k, m) grid; k_range None means 1..n-1 for each n.
 
     Grid points that fail validation are skipped with a logged note; the
-    ranges themselves must be nonempty.  ``primes`` is checked here, once,
-    and kept sorted without repeats.
+    ranges themselves must be nonempty, with exact int bounds, and ``jobs``
+    an exact int.  ``primes`` is checked here, once, and kept sorted without
+    repeats.
     """
 
     n_range: tuple[int, int]
@@ -634,12 +679,16 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name, rng in (("n", self.n_range), ("m", self.m_range), ("k", self.k_range)):
+            if rng is not None and not all(type(x) is int for x in rng):
+                raise ParameterError(f"{name}-not-int", f"{name} range bounds must be ints, got {rng!r}")
             if rng is not None and rng[0] > rng[1]:
                 raise ParameterError(
                     f"{name}-range-empty", f"empty {name} range {rng[0]}..{rng[1]}"
                 )
         if self.fmt not in ("csv", "json"):
             raise ParameterError("format-unknown", f"table format must be csv or json, got {self.fmt!r}")
+        if type(self.jobs) is not int:
+            raise ParameterError("jobs-not-int", f"jobs must be an int, got {self.jobs!r}")
         if self.jobs < 1:
             raise ParameterError("jobs-too-small", f"jobs must be >= 1, got {self.jobs}")
         if self.primes is not None:
@@ -664,39 +713,6 @@ def _grid_points(spec: GridSpec) -> Iterator[ManifoldParams]:
                 yield params
 
 
-def _json_row(report: InvariantReport, texts: Iterable[str]) -> bytes:
-    """``json.dumps(report_to_dict(report), separators=(",", ":"))``, encoded,
-    with ``texts``, compact entries, as the cohomology ``report`` lacks.  One
-    template per section: exact ints through ``repr``, ``raw_coefficient``
-    through ``_int_to_decimal``, strings through ``encode_basestring_ascii``."""
-    p, b, t, c, s = report.params, report.basic, report.torsion, report.char_classes, report.span
-    tf = _BOOLS
-    pontrjagin = ",".join([
-        f'{{"j":{x.j!r},"raw_coefficient":"{_int_to_decimal(x.raw_coefficient)}","modulus":'
-        f'{x.modulus!r},"reduced":{x.reduced!r},"is_zero":{tf[x.is_zero]}}}' for x in c.pontrjagin])
-    sw = ",".join([f'{{"degree":{x.degree!r},"present":{tf[x.present]}}}' for x in c.stiefel_whitney])
-    return (
-        f'{{"schema_version":{SCHEMA_VERSION},"params":{{"n":{p.n!r},"k":{p.k!r},"m":{p.m!r}}},'
-        f'"basic":{{"dimension":{b.dimension!r},"pi1_order":{b.pi1_order!r},'
-        f'"euler_characteristic":{b.euler_characteristic!r},"orientable":{tf[b.orientable]},'
-        f'"picard_order":{b.picard_order!r},'
-        f'"almost_complex_guaranteed":{tf[b.almost_complex_guaranteed]},'
-        f'"complex_structure_guaranteed":{tf[b.complex_structure_guaranteed]}}},'
-        f'"torsion":{{"orders":[{",".join(map(repr, t.orders))}],"height":{t.height!r}}},'
-        f'"cohomology":[{",".join(texts)}],'
-        f'"char_classes":{{"pontrjagin":[{pontrjagin}],"stiefel_whitney":[{sw}],'
-        f'"all_pontrjagin_vanish":{tf[c.all_pontrjagin_vanish]},'
-        f'"all_sw_vanish":{tf[c.all_sw_vanish]}}},'
-        f'"span":{{"span_lower":{s.span_lower!r},"span_upper":{s.span_upper!r},'
-        f'"stable_span_lower":{s.stable_span_lower!r},'
-        f'"span_eq_stable_guaranteed":{tf[s.span_eq_stable_guaranteed]},'
-        f'"parallelizable":"{s.parallelizable._value_}",'
-        f'"stably_parallelizable":"{s.stably_parallelizable._value_}",'
-        f'"provenance":[{",".join(map(encode_basestring_ascii, s.provenance))}]}},'
-        f'"notes":[{",".join(map(encode_basestring_ascii, report.notes))}]}}'
-    ).encode()
-
-
 def _table_row(
     params: ManifoldParams, primes: tuple[int, ...] | None, fmt: str, memo: _Memo
 ) -> bytes:
@@ -704,7 +720,9 @@ def _table_row(
         # CSV rows print no cohomology: they take no memo
         return render(_compute_report(params, _cohomology(params, primes)), "csv_row")
     # one compact JSON object per row
-    return _json_row(_compute_report(params, ()), _cohomology_texts(params, primes, memo))
+    head, tail = _json_report(_compute_report(params, ()), _COMPACT)
+    opening, sep, closing = _COMPACT.lists[1]
+    return f"{head}{opening}{sep.join(_cohomology_texts(params, primes, memo))}{closing}{tail}".encode()
 
 
 def _rows(
