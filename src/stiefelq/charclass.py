@@ -10,11 +10,10 @@ coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
 
-from stiefelq.manifold import ManifoldParams
+from stiefelq.manifold import ManifoldParams, _record
 from stiefelq.modp import truncation_exponent
 from stiefelq.torsion import TorsionProfile
 
@@ -27,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class PontrjaginTerm:
     """The degree-4j term: raw_coefficient C(nk, j) on the 2j-th power of the
     degree-2 class, whose additive order is ``modulus``."""
@@ -39,13 +38,13 @@ class PontrjaginTerm:
     is_zero: bool
 
 
-@dataclass(frozen=True)
+@_record
 class StiefelWhitneyTerm:
     degree: int
     present: bool
 
 
-@dataclass(frozen=True)
+@_record
 class CharClassReport:
     pontrjagin: tuple[PontrjaginTerm, ...]
     stiefel_whitney: tuple[StiefelWhitneyTerm, ...]
@@ -69,7 +68,7 @@ def _stiefel_whitney_terms(params: ManifoldParams) -> Iterator[StiefelWhitneyTer
     bound = 2 * truncation_exponent(params.n, params.k, 2)
     # exactly the range 2j < bound
     for j in range(1, (bound + 1) // 2):
-        yield StiefelWhitneyTerm(degree=2 * j, present=j & ~nk == 0)
+        yield StiefelWhitneyTerm(2 * j, j & ~nk == 0)
 
 
 def stiefel_whitney_classes(params: ManifoldParams) -> tuple[StiefelWhitneyTerm, ...]:
@@ -86,9 +85,7 @@ def _pontrjagin_terms(params: ManifoldParams, orders: Iterable[int]) -> Iterator
     for j, modulus in enumerate(islice(orders, 1, None, 2), start=1):
         raw = raw * (nk - j + 1) // j  # C(nk, j) from C(nk, j - 1), exactly
         reduced = raw % modulus
-        yield PontrjaginTerm(
-            j=j, raw_coefficient=raw, modulus=modulus, reduced=reduced, is_zero=reduced == 0
-        )
+        yield PontrjaginTerm(j, raw, modulus, reduced, reduced == 0)
 
 
 def char_class_report(params: ManifoldParams, profile: TorsionProfile) -> CharClassReport:

@@ -6,7 +6,9 @@ unitary k-frames in C^n by the scalar action of the m-th roots of unity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, fields
+from typing import TypeVar
 
 __all__ = [
     "ParameterError",
@@ -30,7 +32,46 @@ class ParameterError(ValueError):
         return type(self), (self.reason, *self.args)
 
 
-@dataclass(frozen=True)
+_T = TypeVar("_T")
+
+
+def _record(cls: type[_T]) -> type[_T]:
+    """``dataclass(frozen=True)`` with a faster ``__init__``.
+
+    The frozen dataclass ``__init__`` stores each field through
+    ``object.__setattr__``, since the class's own ``__setattr__`` refuses
+    every write; for the small records built once per item or per term that
+    is most of their cost.  The ``__init__`` compiled here takes the same
+    parameters, writes them into the instance dict and then calls
+    ``__post_init__`` when the class has one; everything else is the
+    dataclass's own.  Every field must be a positional ``__init__``
+    parameter without a default, so the two signatures cannot drift apart.
+    """
+    cls = dataclass(frozen=True)(cls)
+    names = [f.name for f in fields(cls)]
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    if [p.name for p in params] != names or any(
+        p.default is not p.empty or p.kind is not p.POSITIONAL_OR_KEYWORD for p in params
+    ):
+        raise TypeError(
+            f"{cls.__name__}: a record's fields must all be positional, with no default"
+        )
+    lines = [f"def __init__(self, {', '.join(names)}):", "    __dict__ = self.__dict__"]
+    # no dataclass field can be called __dict__, so the local shadows none
+    lines += [f"    __dict__[{name!r}] = {name}" for name in names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace: dict = {}
+    exec("\n".join(lines), {}, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    init.__annotations__ = cls.__init__.__annotations__
+    cls.__init__ = init
+    return cls
+
+
+@_record
 class ManifoldParams:
     """The defining triple: k-frames in C^n modulo m-th roots of unity.
 
@@ -70,10 +111,10 @@ class ManifoldParams:
 def validate(n: int, k: int, m: int) -> ManifoldParams:
     """Check that n, k and m are ints (not bools) with 1 <= k < n and m >= 2,
     and return the validated triple."""
-    return ManifoldParams(n=n, k=k, m=m)
+    return ManifoldParams(n, k, m)
 
 
-@dataclass(frozen=True)
+@_record
 class BasicInvariants:
     dimension: int
     pi1_order: int

@@ -34,13 +34,12 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from typing import Sequence, TypeVar
 
 from stiefelq.arith import is_prime
-from stiefelq.manifold import ManifoldParams
+from stiefelq.manifold import ManifoldParams, _record
 
 _T = TypeVar("_T")
 
@@ -76,7 +75,7 @@ class SquareRule(Enum):
     DEG1_SQUARE_IS_DEG2 = "DEG1_SQUARE_IS_DEG2"
 
 
-@dataclass(frozen=True)
+@_record
 class PolyGenerator:
     """A truncated polynomial generator: degree and truncation exponent
     (generator^truncation = 0)."""
@@ -85,7 +84,7 @@ class PolyGenerator:
     truncation: int
 
 
-@dataclass(frozen=True)
+@_record
 class RingPresentation:
     """Additive presentation of the mod-p cohomology.
 

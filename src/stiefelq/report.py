@@ -31,6 +31,7 @@ from stiefelq.manifold import (
     BasicInvariants,
     ManifoldParams,
     ParameterError,
+    _record,
     basic_invariants,
     validate,
 )
@@ -78,7 +79,7 @@ _BOOLS = {True: "true", False: "false"}
 _CHUNK_CAP = 64
 
 
-@dataclass(frozen=True)
+@_record
 class CohomologyEntry:
     p: int
     presentation: RingPresentation
@@ -86,7 +87,7 @@ class CohomologyEntry:
     total_dimension: int
 
 
-@dataclass(frozen=True)
+@_record
 class InvariantReport:
     params: ManifoldParams
     basic: BasicInvariants
@@ -109,6 +110,12 @@ def _check_primes(primes: Sequence[int]) -> tuple[int, ...]:
     if not primes:
         raise ParameterError("primes-empty", "the prime list must be nonempty")
     for p in primes:
+        # exactly an int: 3.0 would be written as "p": 3.0, which the
+        # loader refuses, and True would pass as 1
+        if type(p) is not int:
+            raise ParameterError(
+                "primes-not-int", f"primes must be ints, got {type(p).__name__} {p!r}"
+            )
         if p < 2 or not is_prime(p):
             raise ParameterError("primes-not-prime", f"{p} is not a prime")
     return tuple(sorted(set(primes)))
@@ -665,9 +672,9 @@ class GridSpec:
     """A rectangular (n, k, m) grid; k_range None means 1..n-1 for each n.
 
     Grid points that fail validation are skipped with a logged note; the
-    ranges themselves must be nonempty, with exact int bounds, and ``jobs``
-    an exact int.  ``primes`` is checked here, once, and kept sorted without
-    repeats.
+    ranges themselves must be nonempty pairs of exact int bounds, and
+    ``jobs`` an exact int.  ``primes`` is checked here, once, and kept
+    sorted without repeats.
     """
 
     n_range: tuple[int, int]
@@ -679,9 +686,15 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name, rng in (("n", self.n_range), ("m", self.m_range), ("k", self.k_range)):
-            if rng is not None and not all(type(x) is int for x in rng):
+            if rng is None:
+                continue
+            if len(rng) != 2:
+                raise ParameterError(
+                    f"{name}-range-not-pair", f"{name} range must have two bounds, got {rng!r}"
+                )
+            if not all(type(x) is int for x in rng):
                 raise ParameterError(f"{name}-not-int", f"{name} range bounds must be ints, got {rng!r}")
-            if rng is not None and rng[0] > rng[1]:
+            if rng[0] > rng[1]:
                 raise ParameterError(
                     f"{name}-range-empty", f"empty {name} range {rng[0]}..{rng[1]}"
                 )

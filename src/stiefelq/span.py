@@ -17,7 +17,6 @@ stays UNKNOWN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
 from typing import Iterable
@@ -30,7 +29,7 @@ from stiefelq.charclass import (
     _pontrjagin_terms,
     _stiefel_whitney_terms,
 )
-from stiefelq.manifold import ManifoldParams, ParameterError
+from stiefelq.manifold import ManifoldParams, ParameterError, _record
 from stiefelq.torsion import _orders
 
 __all__ = [
@@ -196,7 +195,7 @@ def lower_bound_from_external_span(params: ManifoldParams, external_span: int) -
     return max(span_lower_bound(params), external_span - params.k**2)
 
 
-@dataclass(frozen=True)
+@_record
 class SpanReport:
     span_lower: int
     span_upper: int
@@ -257,12 +256,4 @@ def span_report(
         pontrjagin, stiefel_whitney = char_classes.pontrjagin, char_classes.stiefel_whitney
     stably, plain, verdict_why = _verdicts(params, pontrjagin, stiefel_whitney)
     prov.append(verdict_why)
-    return SpanReport(
-        span_lower=lower,
-        span_upper=upper,
-        stable_span_lower=stable_lower,
-        span_eq_stable_guaranteed=eq,
-        parallelizable=plain,
-        stably_parallelizable=stably,
-        provenance=tuple(prov),
-    )
+    return SpanReport(lower, upper, stable_lower, eq, plain, stably, tuple(prov))

@@ -26,12 +26,11 @@ n - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator
 
 from stiefelq.arith import _carries
-from stiefelq.manifold import ManifoldParams
+from stiefelq.manifold import ManifoldParams, _record
 
 __all__ = [
     "TorsionProfile",
@@ -39,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class TorsionProfile:
     """orders[r - 1] is the additive order of the r-th power of the degree-2
     class, r = 1..n; height is the largest r whose order exceeds 1."""
@@ -94,4 +93,4 @@ def torsion_profile(params: ManifoldParams) -> TorsionProfile:
     orders = tuple(_orders(params.n, params.k, params.m))
     # orders[n - k - 1] = m >= 2, so the maximum below exists.
     height = max(r for r, o in enumerate(orders, start=1) if o > 1)
-    return TorsionProfile(orders=orders, height=height)
+    return TorsionProfile(orders, height)

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import inspect
 import json
 import logging
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from stiefelq import charclass, cli, modp, report, span, torsion
 from stiefelq.cli import main
-from stiefelq.manifold import ParameterError, validate
+from stiefelq.manifold import ManifoldParams, ParameterError, _record, validate
 from stiefelq.report import (
     CSV_HEADER,
     GridSpec,
@@ -41,6 +43,20 @@ def _params(draw):
     k = draw(st.integers(1, n - 1))
     m = draw(st.integers(2, 30))
     return validate(n, k, m)
+
+
+def _record_classes() -> list[type]:
+    """The dataclasses a report is made of, walked from ``InvariantReport``
+    through the field annotations as ``report_from_dict`` reads them."""
+    todo, seen = [report.InvariantReport, ManifoldParams], []
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.append(cls)
+        for hint in typing.get_type_hints(cls).values():
+            todo += [t for t in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(t)]
+    return seen
 
 
 @pytest.fixture
@@ -105,6 +121,23 @@ class TestComputeReport:
         assert exc.value.reason == "primes-not-prime"
         with pytest.raises(ParameterError):
             compute_report(validate(4, 2, 2), primes=())
+
+    def test_float_prime_rejected(self):
+        # it was kept, and written as "p": 3.0, which the loader refuses
+        with pytest.raises(ParameterError) as exc:
+            compute_report(validate(3, 1, 2), primes=(3.0,))
+        assert exc.value.reason == "primes-not-int"
+
+    def test_str_primes_rejected(self):
+        # "23" iterates as "2", "3": compared with 2, a bare TypeError
+        with pytest.raises(ParameterError) as exc:
+            compute_report(validate(3, 1, 2), primes="23")
+        assert exc.value.reason == "primes-not-int"
+
+    def test_bool_prime_rejected(self):
+        with pytest.raises(ParameterError) as exc:
+            compute_report(validate(3, 1, 2), primes=(2, True))
+        assert exc.value.reason == "primes-not-int"
 
     def test_extrapolation_note_exactly_for_k1(self):
         k1 = compute_report(validate(5, 1, 7))
@@ -489,19 +522,12 @@ class TestJsonWriter:
         assert list(generate_table(spec)) == [json.dumps(data, separators=(",", ":")).encode()]
 
     def test_every_int_or_bool_field_has_a_check(self):
-        # walk the dataclasses a report is made of, as report_from_dict does
-        todo, seen = [report.InvariantReport], set()
-        while todo:
-            cls = todo.pop()
-            if cls in seen:
-                continue
-            seen.add(cls)
+        seen = _record_classes()
+        for cls in seen:
             checks = dict(report._kinds(cls))
             for f in dataclasses.fields(cls):
                 if re.search(r"\b(?:int|bool)\b", f.type):
                     assert checks[f.name] is not None, (cls.__name__, f.name)
-            for hint in typing.get_type_hints(cls).values():
-                todo += [t for t in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(t)]
         assert report.PontrjaginTerm in seen and report.PolyGenerator in seen
 
     @pytest.mark.parametrize(
@@ -810,7 +836,10 @@ class TestTable:
         with pytest.raises(ParameterError):
             GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 2), fmt="xml")
 
-    @pytest.mark.parametrize("primes,reason", [((2, 4), "primes-not-prime"), ((), "primes-empty")])
+    @pytest.mark.parametrize(
+        "primes,reason",
+        [((2, 4), "primes-not-prime"), ((), "primes-empty"), ((2.0,), "primes-not-int")],
+    )
     def test_bad_primes_rejected_up_front(self, primes, reason):
         with pytest.raises(ParameterError) as exc:
             GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 2), primes=primes)
@@ -835,6 +864,22 @@ class TestTable:
             list(generate_table(GridSpec(**kwargs)))
         assert exc.value.reason == reason
         assert inline_pool["started"] == []
+
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            ({"n_range": (3,)}, "n-range-not-pair"),  # rng[1]: IndexError
+            ({"n_range": (3, 4, 5)}, "n-range-not-pair"),  # 5 was ignored
+            ({"k_range": (1,)}, "k-range-not-pair"),
+            ({"m_range": (2, 3, 4)}, "m-range-not-pair"),
+            ({"m_range": ()}, "m-range-not-pair"),
+        ],
+    )
+    def test_ranges_must_be_pairs(self, changes, reason):
+        kwargs = {"n_range": (3, 5), "k_range": None, "m_range": (2, 4), **changes}
+        with pytest.raises(ParameterError) as exc:
+            GridSpec(**kwargs)
+        assert exc.value.reason == reason
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_primes_are_checked_once_per_table(self, monkeypatch, inline_pool, jobs):
@@ -1123,3 +1168,66 @@ class TestCli:
     def test_bad_jobs_env_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("STIEFEL_JOBS", "many")
         assert main(["table", "--n", "3..3", "--m", "2..2"]) == 2
+
+
+def _instances(obj):
+    """Every dataclass instance inside ``obj``, ``obj`` included."""
+    if dataclasses.is_dataclass(obj):
+        yield obj
+        for f in dataclasses.fields(obj):
+            yield from _instances(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _instances(item)
+
+
+class TestRecords:
+    # m = 6 gives Stiefel-Whitney terms and a polynomial generator for
+    # both primes, so the report holds an instance of every record class
+    SAMPLES = {type(x): x for x in _instances(compute_report(validate(6, 3, 6)))}
+
+    def test_walk_finds_every_record_class(self):
+        assert set(_record_classes()) == set(self.SAMPLES)
+        assert len(self.SAMPLES) == 11
+
+    @pytest.mark.parametrize("cls", _record_classes(), ids=lambda cls: cls.__name__)
+    def test_record_semantics(self, cls):
+        obj = self.SAMPLES[cls]
+        names = [f.name for f in dataclasses.fields(cls)]
+        values = [getattr(obj, name) for name in names]
+        kwargs = dict(zip(names, values))
+        assert dataclasses.is_dataclass(cls)
+        assert list(inspect.signature(cls).parameters) == names
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+        with pytest.raises(TypeError):
+            cls(*values, values[0])
+        with pytest.raises(TypeError):
+            cls(**kwargs, unknown=1)
+        for name in (names[0], "unknown"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, values[0])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        assert replace(obj) == obj
+        assert replace(obj, **{names[-1]: values[-1]}) == obj
+        for twin in (cls(*values), cls(**kwargs), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is cls
+            assert twin == obj and hash(twin) == hash(obj)
+            assert repr(twin) == repr(obj)
+            assert vars(twin) == kwargs
+
+    @pytest.mark.parametrize("build", [lambda: validate(3, 3, 2), lambda: ManifoldParams(3, 3, 2),
+                                       lambda: replace(validate(4, 3, 2), n=3)],
+                             ids=["validate", "positional", "replace"])
+    def test_post_init_still_validates(self, build):
+        with pytest.raises(ParameterError) as exc:
+            build()
+        assert exc.value.reason == "k-not-below-n"
+
+    @pytest.mark.parametrize(
+        "default", [0, dataclasses.field(default_factory=list)], ids=["default", "default_factory"]
+    )
+    def test_defaulted_field_is_refused(self, default):
+        with pytest.raises(TypeError, match=r"Probe: .* no default"):
+            _record(type("Probe", (), {"__annotations__": {"x": "int"}, "x": default}))
