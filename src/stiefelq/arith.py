@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 
-from stiefelq.manifold import ParameterError
+from stiefelq.manifold import ParameterError, _check_int
 
 __all__ = [
     "radon_hurwitz",
@@ -47,6 +47,7 @@ def is_prime(q: int) -> bool:
     3.3e24).  At or above it a witness still proves q composite; a q that no
     base exposes raises ``ParameterError("too-large")`` instead of guessing.
     """
+    _check_int(q, "q")
     if q < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -123,6 +124,7 @@ def factorize(q: int) -> list[tuple[int, int]]:
     ``ParameterError("too-large")`` when a cofactor's primality cannot be
     proven or the Pollard-Brent step budget runs out.
     """
+    _check_int(q, "q")
     if q < 1:
         raise ValueError("factorize expects a positive integer")
     out: list[tuple[int, int]] = []
@@ -174,6 +176,7 @@ def radon_hurwitz(n: int) -> int:
     radon_hurwitz(n) - 1 is the maximal number of linearly independent vector
     fields on the sphere S^(n-1).
     """
+    _check_int(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     a, b = divmod((n & -n).bit_length() - 1, 4)  # 4a + b = v_2(n)

@@ -71,6 +71,16 @@ def _record(cls: type[_T]) -> type[_T]:
     return cls
 
 
+def _check_int(value: object, name: str) -> None:
+    """Raise ``ParameterError`` with reason ``<name>-not-int`` unless
+    ``value`` is exactly an int: a bool, or a float equal to an int, is
+    refused."""
+    if type(value) is not int:
+        raise ParameterError(
+            f"{name}-not-int", f"{name} must be an int, got {type(value).__name__} {value!r}"
+        )
+
+
 @_record
 class ManifoldParams:
     """The defining triple: k-frames in C^n modulo m-th roots of unity.

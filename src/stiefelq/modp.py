@@ -39,7 +39,7 @@ from itertools import repeat
 from typing import Sequence, TypeVar
 
 from stiefelq.arith import is_prime
-from stiefelq.manifold import ManifoldParams, _record
+from stiefelq.manifold import ManifoldParams, ParameterError, _check_int, _record
 
 _T = TypeVar("_T")
 
@@ -127,6 +127,9 @@ def truncation_exponent(n: int, k: int, p: int) -> int:
     over the base-p digits, so it is nonzero exactly when every digit of j is
     at most the matching digit of n.
     """
+    _check_int(n, "n")
+    _check_int(k, "k")
+    _check_int(p, "p")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not 1 <= k < n:
@@ -146,6 +149,8 @@ def classify(m: int, p: int) -> CohomologyCase:
     does not divide m, ODD_DIVIDES for an odd p dividing m, and for p = 2
     TWO_MOD_FOUR or ZERO_MOD_FOUR by m mod 4.  Raises ``ValueError`` when p
     is not a prime."""
+    _check_int(m, "m")
+    _check_int(p, "p")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return _case(m, p)
@@ -309,6 +314,9 @@ def _palindrome(length: int, low: list[_T]) -> list[_T]:
 def total_dimension(pres: RingPresentation, k: int) -> int:
     """Total mod-p dimension: 2^k when p is coprime to m, otherwise twice the
     degree-2 truncation exponent times 2^(k-1)."""
+    _check_int(k, "k")
+    if k < 1:
+        raise ParameterError("k-too-small", f"k must be >= 1, got {k}")
     if pres.case is CohomologyCase.COPRIME:
         return 2**k
     assert pres.deg2_truncation is not None

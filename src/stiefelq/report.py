@@ -12,41 +12,37 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
+import reprlib
 from collections import deque
-from dataclasses import dataclass, fields
-from functools import cache, partial
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, is_dataclass
+from enum import EnumMeta
+from functools import cache
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from types import UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from stiefelq.arith import _decimal_to_int, _int_to_decimal, factorize, is_prime
-from stiefelq.charclass import (
-    CharClassReport,
-    PontrjaginTerm,
-    StiefelWhitneyTerm,
-    char_class_report,
-)
+from stiefelq.charclass import CharClassReport, PontrjaginTerm, char_class_report
 from stiefelq.manifold import (
     BasicInvariants,
     ManifoldParams,
     ParameterError,
+    _check_int,
     _record,
     basic_invariants,
     validate,
 )
 from stiefelq.modp import (
-    CohomologyCase,
-    PolyGenerator,
     RingPresentation,
-    SquareRule,
     _case,
     _palindrome,
     _poincare_polynomials,
     presentation,
     total_dimension,
 )
-from stiefelq.span import SpanReport, TriState, span_report
+from stiefelq.span import SpanReport, span_report
 from stiefelq.torsion import TorsionProfile, torsion_profile
 
 __all__ = [
@@ -67,8 +63,6 @@ SCHEMA_VERSION = 1
 CSV_HEADER = "n,k,m,dim,height,span_lower,span_upper,stably_parallelizable,parallelizable"
 
 log = logging.getLogger(__name__)
-
-_D = TypeVar("_D")
 
 # JSON of a bool
 _BOOLS = {True: "true", False: "false"}
@@ -102,11 +96,18 @@ def default_primes(m: int) -> tuple[int, ...]:
     """The primes dividing m, plus 2 (2 always sees the orientation double
     cover and the Stiefel-Whitney side).  Raises ``ParameterError`` with
     reason ``too-large`` when ``factorize`` cannot factor m exactly."""
+    _check_int(m, "m")
     return tuple(sorted({p for p, _ in factorize(m)} | {2}))
 
 
-def _check_primes(primes: Sequence[int]) -> tuple[int, ...]:
+def _check_primes(primes: Iterable[int]) -> tuple[int, ...]:
     # is_prime raises ``too-large`` for a probable prime it cannot prove
+    try:
+        primes = tuple(primes)
+    except TypeError:
+        raise ParameterError(
+            "primes-not-int", f"primes must be a collection of ints, got {type(primes).__name__} {primes!r}"
+        ) from None
     if not primes:
         raise ParameterError("primes-empty", "the prime list must be nonempty")
     for p in primes:
@@ -281,140 +282,97 @@ def _typed(value: Any, name: str, kind: type) -> Any:
     return value
 
 
-def _ints(value: Any, name: str) -> tuple[int, ...]:
-    """The list ``value`` as a tuple, every entry an exact int."""
-    # one check per distinct type, not per entry: Poincare lists run long
-    bad = set(map(type, _typed(value, name, list))) - {int}
-    if bad:
-        raise ValueError(f"{name} entries must be ints, got {sorted(t.__name__ for t in bad)}")
-    return tuple(value)
-
-
-def _strs(value: Any, name: str) -> tuple[str, ...]:
-    """The list ``value`` as a tuple, every entry a str."""
-    items = enumerate(_typed(value, name, list))
-    return tuple(_typed(item, f"{name}[{i}]", str) for i, item in items)
-
-
-def _field(obj: dict, where: str, key: str, kind: type = object) -> Any:
-    """``obj[key]``, a ``kind``; ``where`` is the path to ``obj`` with a
-    trailing dot, empty at the top level."""
-    if key not in obj:
-        raise ValueError(f"{where}{key} is missing")
-    return _typed(obj[key], where + key, kind)
-
-
-def _items(obj: dict, where: str, key: str) -> Iterator[tuple[str, dict]]:
-    """(path, item) for each item of the list ``obj[key]``, every item an
-    object."""
-    for i, item in enumerate(_field(obj, where, key, list)):
-        path = f"{where}{key}[{i}]"
-        yield path + ".", _typed(item, path, dict)
-
-
-def _known(obj: dict, name: str, keys: Iterable[str]) -> dict:
-    """``obj``, which holds no keys but ``keys``."""
-    unknown = obj.keys() - set(keys)
-    if unknown:
-        raise ValueError(f"{name} has unknown keys {sorted(unknown)}")
-    return obj
-
-
-# How a loaded field is checked, by its annotation: (value, path) -> value.
-# Bools must be exact bools, since the text dossier prints them through a
-# {True, False} lookup.  Fields of other annotations are taken as they are,
-# or given by the caller; an annotation that names int or bool and has no
-# check here is refused by _kinds, so no such field loads unchecked.
-_READERS: dict[str, Callable[[Any, str], Any]] = {
-    "bool": partial(_typed, kind=bool),
-    "int": partial(_typed, kind=int),
-    "int | None": lambda value, name: value if value is None else _typed(value, name, int),
-    "tuple[int, ...]": _ints,
-    "tuple[str, ...]": _strs,
-}
+# Two schema facts that the record types do not show.  A cohomology entry's
+# object also holds its presentation's fields, and ``rendering``, a one-line
+# form for people that is not read back; a report's object also holds
+# ``schema_version``.  ``raw_coefficient`` is a decimal string, read through
+# ``_decimal_to_int``.
+_INLINE = {CohomologyEntry: "presentation"}
+_EXTRA_KEYS = {CohomologyEntry: {"rendering"}, InvariantReport: {"schema_version"}}
+_DECIMALS = {PontrjaginTerm: ("raw_coefficient",)}
 
 
 @cache
-def _kinds(cls: type) -> tuple[tuple[str, Callable[[Any, str], Any] | None], ...]:
-    kinds = []
-    for f in fields(cls):
-        read = _READERS.get(f.type)
-        if read is None and re.search(r"\b(?:int|bool)\b", str(f.type)):
-            raise TypeError(f"{cls.__name__}.{f.name}: no loader check for {f.type!r}")
-        kinds.append((f.name, read))
-    return tuple(kinds)
+def _layout(cls: type) -> tuple[dict[str, Any], frozenset[str]]:
+    """The resolved type of each field of the record ``cls``, by name
+    (``_decimal_to_int`` for a decimal string), and the keys its object may
+    hold."""
+    types = get_type_hints(cls) | dict.fromkeys(_DECIMALS.get(cls, ()), _decimal_to_int)
+    keys = types.keys() - {_INLINE.get(cls)} | _EXTRA_KEYS.get(cls, set())
+    if cls in _INLINE:
+        keys |= _layout(types[_INLINE[cls]])[1]
+    return types, frozenset(keys)
 
 
-def _flat(cls: type[_D], obj: dict, where: str, **given: Any) -> _D:
-    """The dataclass ``cls`` with the fields not in ``given`` read from the
-    same keys of ``obj``."""
-    for name, read in _kinds(cls):
-        if name not in given:
-            value = _field(obj, where, name)
-            given[name] = value if read is None else read(value, where + name)
-    return cls(**given)
+def _read(kind: Any, value: Any, path: str) -> Any:
+    """The ``kind`` that the JSON ``value`` at ``path`` holds ("" for the
+    top level).  An int, bool or str must be exactly one; ``X | None`` is
+    null or an X; ``tuple[X, ...]`` is a list of X; an Enum is one of its
+    values; a record is an object that holds a key for each field, read by
+    the field's type, and no key but those and the extras above.  Raises
+    ``ValueError`` naming the path of a value that does not fit, and
+    ``TypeError`` naming a type with no rule here."""
+    if kind is int or kind is bool or kind is str:
+        return _typed(value, path, kind)
+    if is_dataclass(kind):
+        name = path or "report"
+        obj = _typed(value, name, dict)
+        types, keys = _layout(kind)
+        unknown = obj.keys() - keys
+        if unknown:
+            raise ValueError(f"{name} has unknown keys {sorted(unknown)}")
+        where = path and path + "."
+        inline = _INLINE.get(kind)
+        args = []
+        for field, hint in types.items():
+            if field == inline:
+                # its fields sit in this object, whose keys are checked above
+                own = _layout(hint)[1]
+                args.append(_read(hint, {k: v for k, v in obj.items() if k in own}, path))
+            elif field not in obj:
+                raise ValueError(f"{where}{field} is missing")
+            else:
+                args.append(_read(hint, obj[field], where + field))
+        return kind(*args)
+    if isinstance(kind, EnumMeta):
+        try:
+            return kind(value)
+        except ValueError:
+            values = [member.value for member in kind]
+            raise ValueError(f"{path} must be one of {values}, got {reprlib.repr(value)}") from None
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        items = _typed(value, path, list)
+        if args[0] is int:
+            # one check per distinct type, not per entry: Poincare lists run long
+            bad = set(map(type, items)) - {int}
+            if bad:
+                raise ValueError(f"{path} entries must be ints, got {sorted(t.__name__ for t in bad)}")
+            return tuple(items)
+        return tuple([_read(args[0], item, f"{path}[{i}]") for i, item in enumerate(items)])
+    if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        return None if value is None else _read(args[args[0] is type(None)], value, path)
+    if kind is _decimal_to_int:
+        return _decimal_to_int(_typed(value, path, str))
+    raise TypeError(f"no loader rule for {kind!r} at {path or 'report'}")
 
 
 def report_from_dict(data: dict) -> InvariantReport:
-    """The report that ``report_to_dict`` turned into ``data``.  Raises
-    ``ValueError`` naming the field for a missing field, an unknown
-    ``params`` or ``poly_generator`` key, or a value that is not the object,
-    list, exact bool, exact int (or null, for ``deg2_truncation``), list of
-    exact ints, list of strings or decimal string the schema puts there."""
+    """The report that ``report_to_dict`` turned into ``data``, each record
+    read by the types of its fields (see ``_read``).  Raises ``ValueError``
+    naming the path for a missing field, an unknown key in any object (list
+    items included), a value of another JSON type than its field's (an exact
+    int, an exact bool, a string, a list, an object, or null where the type
+    allows it), an enum field that holds none of its values, a
+    ``raw_coefficient`` that is no decimal string, and a ``schema_version``
+    that is not exactly the int 1."""
     data = _typed(data, "report", dict)
+    if "schema_version" not in data:
+        raise ValueError("schema_version is missing")
     # exactly the int: True and 1.0 compare equal to 1
-    if _field(data, "", "schema_version", int) != SCHEMA_VERSION:
+    if _typed(data["schema_version"], "schema_version", int) != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version: {data['schema_version']!r}")
-    p = _known(_field(data, "", "params", dict), "params", ("n", "k", "m"))
-    params = validate(*(_field(p, "params.", key) for key in ("n", "k", "m")))
-    torsion = _flat(TorsionProfile, _field(data, "", "torsion", dict), "torsion.")
-    cohomology = []
-    for where, e in _items(data, "", "cohomology"):
-        pg = _field(e, where, "poly_generator")
-        if pg is not None:
-            name = where + "poly_generator"
-            _known(_typed(pg, name, dict), name, ("degree", "truncation"))
-            pg = _flat(PolyGenerator, pg, name + ".")
-        pres = _flat(
-            RingPresentation,
-            e,
-            where,
-            case=CohomologyCase(_field(e, where, "case")),
-            poly_generator=pg,
-            square_rule=SquareRule(_field(e, where, "square_rule")),
-        )
-        cohomology.append(_flat(CohomologyEntry, e, where, presentation=pres))
-    c = _field(data, "", "char_classes", dict)
-    char = _flat(
-        CharClassReport,
-        c,
-        "char_classes.",
-        pontrjagin=tuple(
-            _flat(
-                PontrjaginTerm,
-                t,
-                where,
-                raw_coefficient=_decimal_to_int(_field(t, where, "raw_coefficient", str)),
-            )
-            for where, t in _items(c, "char_classes.", "pontrjagin")
-        ),
-        stiefel_whitney=tuple(
-            _flat(StiefelWhitneyTerm, t, where)
-            for where, t in _items(c, "char_classes.", "stiefel_whitney")
-        ),
-    )
-    s = _field(data, "", "span", dict)
-    span = _flat(
-        SpanReport,
-        s,
-        "span.",
-        parallelizable=TriState(_field(s, "span.", "parallelizable")),
-        stably_parallelizable=TriState(_field(s, "span.", "stably_parallelizable")),
-    )
-    basic = _flat(BasicInvariants, _field(data, "", "basic", dict), "basic.")
-    # the one field left, ``notes``, is read by its annotation
-    return _flat(InvariantReport, data, "", params=params, basic=basic, torsion=torsion,
-                 cohomology=tuple(cohomology), char_classes=char, span=span)
+    return _read(InvariantReport, data, "")
 
 
 def report_from_json(text: str | bytes) -> InvariantReport:
@@ -688,7 +646,7 @@ class GridSpec:
         for name, rng in (("n", self.n_range), ("m", self.m_range), ("k", self.k_range)):
             if rng is None:
                 continue
-            if len(rng) != 2:
+            if not isinstance(rng, Sequence) or len(rng) != 2:
                 raise ParameterError(
                     f"{name}-range-not-pair", f"{name} range must have two bounds, got {rng!r}"
                 )

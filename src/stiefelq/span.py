@@ -29,7 +29,7 @@ from stiefelq.charclass import (
     _pontrjagin_terms,
     _stiefel_whitney_terms,
 )
-from stiefelq.manifold import ManifoldParams, ParameterError, _record
+from stiefelq.manifold import ManifoldParams, ParameterError, _check_int, _record
 from stiefelq.torsion import _orders
 
 __all__ = [
@@ -180,6 +180,7 @@ def lower_bound_from_external_span(params: ManifoldParams, external_span: int) -
     2nk copies of the Hopf line bundle over the real projective space of
     dimension 2n - 1.  Only meaningful for m = 2, where that bundle pulls
     back to the stable tangent bundle; other m are rejected."""
+    _check_int(external_span, "external-span")
     if params.m != 2:
         raise ParameterError(
             "external-span-needs-m-2",

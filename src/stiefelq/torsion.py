@@ -30,7 +30,7 @@ from itertools import repeat
 from typing import Iterator
 
 from stiefelq.arith import _carries
-from stiefelq.manifold import ManifoldParams, _record
+from stiefelq.manifold import ManifoldParams, _check_int, _record
 
 __all__ = [
     "TorsionProfile",
@@ -47,6 +47,7 @@ class TorsionProfile:
     height: int
 
     def order(self, r: int) -> int:
+        _check_int(r, "r")
         if not 1 <= r <= len(self.orders):
             raise ValueError(f"power index r must lie in [1, {len(self.orders)}], got {r}")
         return self.orders[r - 1]

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from stiefelq import arith, modp, report, span, torsion
 from stiefelq.manifold import ParameterError, basic_invariants, validate
 
 
@@ -76,3 +77,56 @@ class TestBasicInvariants:
                     if b.complex_structure_guaranteed:
                         assert b.almost_complex_guaranteed
                     assert b.pi1_order == m == b.picard_order
+
+
+class TestExactIntArguments:
+    """Each public entry point that takes a scalar refuses a non-int one
+    with ``<name>-not-int``; each of these used to answer or to raise a bare
+    ``TypeError``."""
+
+    @pytest.mark.parametrize(
+        "call, reason",
+        [
+            pytest.param(lambda: arith.is_prime(7.0), "q-not-int", id="is_prime-float"),
+            pytest.param(lambda: arith.factorize(2.0), "q-not-int", id="factorize-float"),
+            pytest.param(lambda: report.default_primes(6.0), "m-not-int", id="default_primes-float"),
+            pytest.param(lambda: modp.classify(6, 3.0), "p-not-int", id="classify-float-p"),
+            pytest.param(lambda: modp.classify(6.0, 3), "m-not-int", id="classify-float-m"),
+            pytest.param(
+                lambda: modp.truncation_exponent(4, 2, 2.0), "p-not-int", id="truncation_exponent-float"
+            ),
+            pytest.param(
+                lambda: modp.presentation(validate(4, 2, 6), 2.0), "p-not-int", id="presentation-float"
+            ),
+            pytest.param(lambda: arith.radon_hurwitz(2.0), "n-not-int", id="radon_hurwitz-float"),
+            pytest.param(
+                lambda: modp.total_dimension(modp.presentation(validate(4, 2, 6), 2), 0),
+                "k-too-small",
+                id="total_dimension-zero",  # returned the float 4.0
+            ),
+            pytest.param(
+                lambda: modp.total_dimension(modp.presentation(validate(4, 2, 6), 2), 2.0),
+                "k-not-int",
+                id="total_dimension-float",
+            ),
+            pytest.param(
+                lambda: torsion.torsion_profile(validate(4, 2, 6)).order(True),
+                "r-not-int",
+                id="order-bool",  # answered as r = 1
+            ),
+            pytest.param(
+                lambda: span.span_report(validate(4, 2, 2), external_span=True),
+                "external-span-not-int",
+                id="span_report-bool",
+            ),
+            pytest.param(
+                lambda: span.span_report(validate(4, 2, 2), external_span=3.0),
+                "external-span-not-int",
+                id="span_report-float",
+            ),
+        ],
+    )
+    def test_non_int_scalar_rejected(self, call, reason):
+        with pytest.raises(ParameterError) as exc:
+            call()
+        assert exc.value.reason == reason

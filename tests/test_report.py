@@ -59,6 +59,67 @@ def _record_classes() -> list[type]:
     return seen
 
 
+def _full_report_dict(k: int) -> dict:
+    """The dict of (9, k, 6) with primes (2, 3, 5): for k = 4 every list and
+    optional is nonempty but ``notes``, which k = 1 fills.  Entry 0 (p = 2)
+    has a polynomial generator."""
+    return report_to_dict(compute_report(validate(9, k, 6), (2, 3, 5)))
+
+
+# The keys leading to an object of each record class in ``_full_report_dict``.
+# A cohomology entry's object also holds its presentation's fields: the
+# ``presentation`` field has no key of its own.
+_OBJECT_KEYS = {
+    report.InvariantReport: (),
+    ManifoldParams: ("params",),
+    report.BasicInvariants: ("basic",),
+    torsion.TorsionProfile: ("torsion",),
+    report.CohomologyEntry: ("cohomology", 0),
+    modp.RingPresentation: ("cohomology", 0),
+    modp.PolyGenerator: ("cohomology", 0, "poly_generator"),
+    charclass.CharClassReport: ("char_classes",),
+    charclass.PontrjaginTerm: ("char_classes", "pontrjagin", 0),
+    charclass.StiefelWhitneyTerm: ("char_classes", "stiefel_whitney", 0),
+    span.SpanReport: ("span",),
+}
+
+# A value of another JSON type than each value of the report's dict
+_WRONG_JSON_TYPE = {list: {}, dict: [], str: 7, bool: 1, int: True}
+
+
+def _path_text(keys: tuple) -> str:
+    """The path the loader names for ``keys``: ``a.b[0].c``."""
+    text = ""
+    for key in keys:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+    return text
+
+
+def _object_keys(obj, keys=()):
+    """The keys leading to each object in ``obj``, lists walked too."""
+    if isinstance(obj, dict):
+        yield keys
+        for key, value in obj.items():
+            yield from _object_keys(value, (*keys, key))
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _object_keys(item, (*keys, i))
+
+
+def _field_cases():
+    datas = {k: _full_report_dict(k) for k in (1, 4)}
+    for cls, keys in _OBJECT_KEYS.items():
+        for name in typing.get_type_hints(cls):
+            if (cls, name) == (report.CohomologyEntry, "presentation"):
+                continue
+            path = (*keys, name)
+            value = datas[1 if path == ("notes",) else 4]
+            for key in path:
+                value = value[key]
+            for variant in ("swap", "float", "item") if isinstance(value, list) else ("swap", "float"):
+                yield pytest.param(path, variant, id=f"{cls.__name__}.{name}-{variant}")
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Stand in for the process pool: ``submit`` runs the chunk here and
@@ -133,6 +194,20 @@ class TestComputeReport:
         with pytest.raises(ParameterError) as exc:
             compute_report(validate(3, 1, 2), primes="23")
         assert exc.value.reason == "primes-not-int"
+
+    def test_scalar_primes_rejected(self):
+        # iterating 5 raised a bare TypeError
+        with pytest.raises(ParameterError) as exc:
+            compute_report(validate(3, 1, 2), primes=5)
+        assert exc.value.reason == "primes-not-int"
+
+    @pytest.mark.parametrize(
+        "primes", [{3, 2}, [3, 2, 3], iter((2, 3))], ids=["set", "list", "iterator"]
+    )
+    def test_primes_from_any_collection(self, primes):
+        # an iterator used to be spent by the checks, leaving no entries
+        params = validate(4, 2, 6)
+        assert compute_report(params, primes) == compute_report(params, (2, 3))
 
     def test_bool_prime_rejected(self):
         with pytest.raises(ParameterError) as exc:
@@ -521,23 +596,62 @@ class TestJsonWriter:
         spec = GridSpec(n_range=(n, n), k_range=(k, k), m_range=(m, m), primes=primes, fmt="json")
         assert list(generate_table(spec)) == [json.dumps(data, separators=(",", ":")).encode()]
 
-    def test_every_int_or_bool_field_has_a_check(self):
-        seen = _record_classes()
-        for cls in seen:
-            checks = dict(report._kinds(cls))
-            for f in dataclasses.fields(cls):
-                if re.search(r"\b(?:int|bool)\b", f.type):
-                    assert checks[f.name] is not None, (cls.__name__, f.name)
-        assert report.PontrjaginTerm in seen and report.PolyGenerator in seen
+    @pytest.mark.parametrize("keys, variant", list(_field_cases()))
+    def test_every_field_refuses_a_wrong_json_type(self, keys, variant):
+        # every field of every record class, at its path in a report with
+        # every section nonempty; "item" puts the wrong type in a list's
+        # first item
+        data = _full_report_dict(1 if keys == ("notes",) else 4)
+        *parents, last = keys
+        obj = data
+        for key in parents:
+            obj = obj[key]
+        value = obj[last]
+        if variant == "item":
+            obj, last = value, 0
+            value = value[0]
+        obj[last] = 1.5 if variant == "float" else _WRONG_JSON_TYPE[type(value)]
+        # the field, or its first item
+        with pytest.raises(ValueError, match=rf"^{re.escape(_path_text(keys))}(\[0\])? "):
+            report.report_from_dict(data)
+
+    def test_field_cases_cover_every_record_class(self):
+        assert set(_OBJECT_KEYS) == set(_record_classes())
+
+    @pytest.mark.parametrize("keys", list(_object_keys(_full_report_dict(4))), ids=_path_text)
+    def test_unknown_key_in_any_object_is_refused(self, keys):
+        data = _full_report_dict(4)
+        obj = data
+        for key in keys:
+            obj = obj[key]
+        obj["zz"] = 1
+        name = re.escape(_path_text(keys) or "report")
+        with pytest.raises(ValueError, match=rf"^{name} has unknown keys \['zz'\]$"):
+            report.report_from_dict(data)
 
     @pytest.mark.parametrize(
-        "annotation", ["Optional[int]", "Tuple[int, ...]", "tuple[int, int]", "list[bool]"]
+        "annotation, value",
+        [(float, 1.5), (list[int], [1]), (tuple[int, int], [1, 2]), (dict, {}), (int | str, 1)],
+        ids=["float", "list[int]", "tuple[int, int]", "dict", "int | str"],
     )
-    def test_unchecked_int_annotation_is_refused(self, annotation):
-        # a field spelled other than _READERS' keys would load with no check
+    def test_annotation_without_a_rule_is_refused(self, annotation, value):
         probe = dataclasses.make_dataclass("Probe", [("x", annotation)])
-        with pytest.raises(TypeError, match=r"Probe\.x: no loader check"):
-            report._kinds(probe)
+        with pytest.raises(TypeError, match=re.escape(repr(annotation))):
+            report._read(probe, {"x": value}, "")
+
+    @pytest.mark.parametrize(
+        "annotation, good, bad, message",
+        [
+            (typing.Optional[int], None, 1.5, "x must be an int, got float"),
+            (typing.Tuple[int, ...], [1, 2], [1, 1.5], r"x entries must be ints, got \['float'\]"),
+        ],
+        ids=["Optional[int]", "Tuple[int, ...]"],
+    )
+    def test_typing_spellings_are_read_by_their_types(self, annotation, good, bad, message):
+        probe = dataclasses.make_dataclass("Probe", [("x", annotation)])
+        assert report._read(probe, {"x": good}, "") == probe(good if good is None else tuple(good))
+        with pytest.raises(ValueError, match=message):
+            report._read(probe, {"x": bad}, "")
 
     def test_loader_keeps_negative_poincare_entries(self):
         data = report_to_dict(compute_report(validate(4, 2, 6)))
@@ -838,7 +952,12 @@ class TestTable:
 
     @pytest.mark.parametrize(
         "primes,reason",
-        [((2, 4), "primes-not-prime"), ((), "primes-empty"), ((2.0,), "primes-not-int")],
+        [
+            ((2, 4), "primes-not-prime"),
+            ((), "primes-empty"),
+            ((2.0,), "primes-not-int"),
+            pytest.param(7, "primes-not-int", id="scalar-primes"),  # bare TypeError
+        ],
     )
     def test_bad_primes_rejected_up_front(self, primes, reason):
         with pytest.raises(ParameterError) as exc:
@@ -873,6 +992,9 @@ class TestTable:
             ({"k_range": (1,)}, "k-range-not-pair"),
             ({"m_range": (2, 3, 4)}, "m-range-not-pair"),
             ({"m_range": ()}, "m-range-not-pair"),
+            # len(3): a bare TypeError
+            pytest.param({"n_range": 3}, "n-range-not-pair", id="scalar-n-range"),
+            pytest.param({"k_range": 5}, "k-range-not-pair", id="scalar-k-range"),
         ],
     )
     def test_ranges_must_be_pairs(self, changes, reason):
