@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 from stiefelq.manifold import ManifoldParams, _record
-from stiefelq.modp import truncation_exponent
+from stiefelq.modp import _truncation_exponent
 from stiefelq.torsion import TorsionProfile
 
 __all__ = [
@@ -65,7 +65,7 @@ def _stiefel_whitney_terms(params: ManifoldParams) -> Iterator[StiefelWhitneyTer
     if m % 2 == 1 or m % 4 == 0:
         return
     nk = params.n * params.k
-    bound = 2 * truncation_exponent(params.n, params.k, 2)
+    bound = 2 * _truncation_exponent(params.n, params.k, 2)  # validated n, k; 2 is prime
     # exactly the range 2j < bound
     for j in range(1, (bound + 1) // 2):
         yield StiefelWhitneyTerm(2 * j, j & ~nk == 0)

@@ -81,6 +81,15 @@ def _check_int(value: object, name: str) -> None:
         )
 
 
+def _check_k(n: int, k: int) -> None:
+    """Raise ``ParameterError`` with reason ``k-too-small`` or
+    ``k-not-below-n`` unless the ints n and k have 1 <= k < n."""
+    if k < 1:
+        raise ParameterError("k-too-small", f"k must be >= 1, got {k}")
+    if k >= n:
+        raise ParameterError("k-not-below-n", f"k must be < n, got k={k}, n={n}")
+
+
 @_record
 class ManifoldParams:
     """The defining triple: k-frames in C^n modulo m-th roots of unity.
@@ -104,12 +113,7 @@ class ManifoldParams:
                 f"{name}-not-int",
                 f"{name} must be an int, got {type(value).__name__} {value!r}",
             )
-        if self.k < 1:
-            raise ParameterError("k-too-small", f"k must be >= 1, got {self.k}")
-        if self.k >= self.n:
-            raise ParameterError(
-                "k-not-below-n", f"k must be < n, got k={self.k}, n={self.n}"
-            )
+        _check_k(self.n, self.k)
         if self.m < 2:
             raise ParameterError("m-too-small", f"m must be >= 2, got {self.m}")
 

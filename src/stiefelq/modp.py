@@ -39,7 +39,7 @@ from itertools import repeat
 from typing import Sequence, TypeVar
 
 from stiefelq.arith import is_prime
-from stiefelq.manifold import ManifoldParams, ParameterError, _check_int, _record
+from stiefelq.manifold import ManifoldParams, ParameterError, _check_int, _check_k, _record
 
 _T = TypeVar("_T")
 
@@ -134,6 +134,12 @@ def truncation_exponent(n: int, k: int, p: int) -> int:
         raise ValueError(f"p must be prime, got {p}")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    return _truncation_exponent(n, k, p)
+
+
+def _truncation_exponent(n: int, k: int, p: int) -> int:
+    """``truncation_exponent`` for ints 1 <= k < n and a p already known to
+    be prime."""
     for j in range(n - k + 1, n + 1):
         a, b = n, j
         while b and b % p <= a % p:
@@ -166,9 +172,19 @@ def _case(m: int, p: int) -> CohomologyCase:
 
 
 def presentation(params: ManifoldParams, p: int) -> RingPresentation:
-    """The additive mod-p presentation for one prime p."""
+    """The additive mod-p presentation for one prime p.  Raises
+    ``ValueError`` when p is not a prime."""
+    _check_int(p, "p")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return _presentation(params, p)
+
+
+def _presentation(params: ManifoldParams, p: int) -> RingPresentation:
+    """``presentation`` for a p already proven prime, by ``default_primes``
+    or ``_check_primes`` in reports and tables."""
     n, k = params.n, params.k
-    case = classify(params.m, p)
+    case = _case(params.m, p)
     run = tuple(range(2 * n - 2 * k + 1, 2 * n, 2))
     if case is CohomologyCase.COPRIME:
         return RingPresentation(
@@ -179,7 +195,7 @@ def presentation(params: ManifoldParams, p: int) -> RingPresentation:
             square_rule=SquareRule.NONE,
             deg2_truncation=None,
         )
-    half = truncation_exponent(n, k, p)
+    half = _truncation_exponent(n, k, p)
     omitted = 2 * half - 1  # always lies inside the odd run
     reduced_run = tuple(d for d in run if d != omitted)
     assert len(reduced_run) == k - 1
@@ -260,7 +276,13 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
                       without 2h - 1.
 
     So b_i = b_(dim - i), and each list is its own reverse.
+
+    n and k are checked as ``validate`` checks them: ``ParameterError`` with
+    reason ``n-not-int``, ``k-not-int``, ``k-too-small`` or ``k-not-below-n``.
     """
+    _check_int(n, "n")
+    _check_int(k, "k")
+    _check_k(n, k)
     return _poincare_polynomials((pres,), n, k)[0]
 
 

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, is_dataclass
 from enum import EnumMeta
 from functools import cache
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
@@ -39,7 +39,7 @@ from stiefelq.modp import (
     _case,
     _palindrome,
     _poincare_polynomials,
-    presentation,
+    _presentation,
     total_dimension,
 )
 from stiefelq.span import SpanReport, span_report
@@ -67,10 +67,12 @@ log = logging.getLogger(__name__)
 # JSON of a bool
 _BOOLS = {True: "true", False: "false"}
 
-# Rows a pool worker takes at once, and the rows of chunk 0, which a pooled
-# table computes in-process: an early stop waits for at most one chunk per
-# worker.
-_CHUNK_CAP = 64
+# Rows a pool worker takes at once: an early stop waits for at most one
+# chunk per worker.  Chunk 0, which a pooled table computes in-process, is
+# half as long, since its first row waits until all of its grid points are
+# validated.
+_CHUNK_ROWS = 128
+_FIRST_ROWS = _CHUNK_ROWS // 2
 
 
 @_record
@@ -129,18 +131,15 @@ def compute_report(
     (default: the primes dividing m, plus 2).  Presentations are listed with
     p ascending.  Each layer runs once: the torsion profile feeds the char
     classes, and those feed the span verdicts."""
-    checked = None if primes is None else _check_primes(primes)
+    checked = default_primes(params.m) if primes is None else _check_primes(primes)
     return _compute_report(params, _cohomology(params, checked))
 
 
-def _cohomology(
-    params: ManifoldParams, primes: tuple[int, ...] | None
-) -> tuple[CohomologyEntry, ...]:
+def _cohomology(params: ManifoldParams, primes: tuple[int, ...]) -> tuple[CohomologyEntry, ...]:
     """The cohomology entries of a report, p ascending, from one Poincare
-    expansion."""
-    # ``primes`` is None or already through ``_check_primes``
-    ps = default_primes(params.m) if primes is None else primes
-    presentations = [presentation(params, p) for p in ps]
+    expansion.  ``primes`` are proven already, by ``default_primes`` or
+    ``_check_primes``."""
+    presentations = [_presentation(params, p) for p in primes]
     polys = _poincare_polynomials(presentations, params.n, params.k)
     return tuple(
         CohomologyEntry(
@@ -154,37 +153,50 @@ def _cohomology(
 
 
 class _Memo:
-    """The compact JSON texts of one (n, k)'s cohomology entries, keyed by
-    (p, case value), and of their Poincare lists, keyed by h, across m."""
+    """What the table rows of one chunk share.  ``primes`` holds the
+    default primes of each m.  The rest belongs to one (n, k), the last that
+    ``at`` was given, and holds compact JSON texts across m: those of its
+    cohomology entries, keyed by (p, case value), of their Poincare lists,
+    keyed by h, and the head of each Pontrjagin term, up to its modulus."""
 
-    __slots__ = ("n_k", "texts", "poincare")
+    __slots__ = ("primes", "n_k", "texts", "poincare", "terms")
 
     def __init__(self) -> None:
+        self.primes: dict[int, tuple[int, ...]] = {}
         self.n_k: tuple[int, int] | None = None
         self.texts: dict[tuple[int, str], str] = {}
         self.poincare: dict[int | None, str] = {}
+        self.terms: list[str] | None = None
+
+    def primes_of(self, m: int) -> tuple[int, ...]:
+        """``default_primes(m)``, factored once per memo."""
+        ps = self.primes.get(m)
+        if ps is None:
+            ps = self.primes[m] = default_primes(m)
+        return ps
+
+    def at(self, n: int, k: int) -> None:
+        """Move the memo to (n, k), dropping the texts of any other."""
+        if self.n_k != (n, k):
+            self.n_k, self.texts, self.poincare, self.terms = (n, k), {}, {}, None
 
 
-def _cohomology_texts(
-    params: ManifoldParams, primes: tuple[int, ...] | None, memo: _Memo
-) -> list[str]:
+def _cohomology_texts(params: ManifoldParams, primes: tuple[int, ...], memo: _Memo) -> list[str]:
     """``_cohomology`` as the entries' compact JSON texts, through ``memo``.
     m enters an entry only through its case, so an entry is fixed by (n, k,
     p, case): entries the memo lacks are written once by ``_json_entry``.
     Their Poincare lists depend on h (``deg2_truncation``) alone: those of
     the h values the memo lacks come from one expansion."""
     n, k = params.n, params.k
-    if memo.n_k != (n, k):
-        memo.n_k, memo.texts, memo.poincare = (n, k), {}, {}
+    memo.at(n, k)
     texts, lists = memo.texts, memo.poincare
-    # the primes are primes already, so the key needs no primality test.
+    # the primes are proven already, so the key needs no primality test.
     # It holds the case's value, whose hash is C code, unlike an Enum
     # member's.
-    ps = default_primes(params.m) if primes is None else primes
-    keys = [(p, _case(params.m, p)._value_) for p in ps]
+    keys = [(p, _case(params.m, p)._value_) for p in primes]
     missing = [key for key in keys if key not in texts]
     if missing:
-        built = [presentation(params, p) for p, _ in missing]
+        built = [_presentation(params, p) for p, _ in missing]
         new = {pres.deg2_truncation: pres for pres in built if pres.deg2_truncation not in lists}
         if new:
             for h, coeffs in zip(new, _poincare_polynomials(list(new.values()), n, k)):
@@ -547,14 +559,27 @@ def _json_entry(
     )
 
 
-def _json_report(report: InvariantReport, layout: _Layout) -> tuple[str, str]:
-    """A report: the text before its cohomology list and the text after it."""
+def _term_heads(terms: Sequence[PontrjaginTerm], layout: _Layout) -> list[str]:
+    """The text of each Pontrjagin term up to its modulus.  It is fixed by j
+    and nk, so the rows of one (n, k) share it."""
+    j, raw_coefficient, modulus = layout.pontrjagin[:3]
+    return [
+        f'{j}{x.j!r}{raw_coefficient}"{_int_to_decimal(x.raw_coefficient)}"{modulus}' for x in terms
+    ]
+
+
+def _json_report(
+    report: InvariantReport, layout: _Layout, memo: _Memo | None = None
+) -> tuple[str, str]:
+    """A report: the text before its cohomology list and the text after it.
+    A table row passes its chunk's ``memo`` (compact layout) for the term
+    heads of its (n, k)."""
     schema_version, n, k, m, dimension, pi1_order, euler_characteristic, orientable, \
         picard_order, almost_complex_guaranteed, complex_structure_guaranteed, orders, \
         height, cohomology, pontrjagin, stiefel_whitney, all_pontrjagin_vanish, all_sw_vanish, \
         span_lower, span_upper, stable_span_lower, span_eq_stable_guaranteed, parallelizable, \
         stably_parallelizable, provenance, notes, end = layout.report
-    j, raw_coefficient, modulus, reduced, is_zero, term_end = layout.pontrjagin
+    reduced, is_zero, term_end = layout.pontrjagin[3:]
     degree, present, sw_end = layout.stiefel_whitney
     p, b, o, c, s = report.params, report.basic, report.torsion, report.char_classes, report.span
     tf = _BOOLS
@@ -563,9 +588,16 @@ def _json_report(report: InvariantReport, layout: _Layout) -> tuple[str, str]:
     sw_open, sw_sep, sw_close = layout.lists[2] if c.stiefel_whitney else _EMPTY
     pr_open, pr_sep, pr_close = layout.lists[2] if s.provenance else _EMPTY
     notes_open, notes_sep, notes_close = layout.lists[1] if report.notes else _EMPTY
+    if memo is None:
+        heads = _term_heads(c.pontrjagin, layout)
+    else:
+        memo.at(p.n, p.k)
+        if memo.terms is None:
+            memo.terms = _term_heads(c.pontrjagin, layout)
+        heads = memo.terms
     terms = terms_sep.join([
-        f'{j}{x.j!r}{raw_coefficient}"{_int_to_decimal(x.raw_coefficient)}"{modulus}{x.modulus!r}'
-        f"{reduced}{x.reduced!r}{is_zero}{tf[x.is_zero]}{term_end}" for x in c.pontrjagin])
+        f"{head}{x.modulus!r}{reduced}{x.reduced!r}{is_zero}{tf[x.is_zero]}{term_end}"
+        for head, x in zip(heads, c.pontrjagin)])
     sw_terms = sw_sep.join([
         f"{degree}{x.degree!r}{present}{tf[x.present]}{sw_end}" for x in c.stiefel_whitney])
     head = (
@@ -687,23 +719,26 @@ def _grid_points(spec: GridSpec) -> Iterator[ManifoldParams]:
 def _table_row(
     params: ManifoldParams, primes: tuple[int, ...] | None, fmt: str, memo: _Memo
 ) -> bytes:
+    ps = memo.primes_of(params.m) if primes is None else primes
     if fmt == "csv":
-        # CSV rows print no cohomology: they take no memo
-        return render(_compute_report(params, _cohomology(params, primes)), "csv_row")
+        # CSV rows print no cohomology: they share only the primes
+        return render(_compute_report(params, _cohomology(params, ps)), "csv_row")
     # one compact JSON object per row
-    head, tail = _json_report(_compute_report(params, ()), _COMPACT)
+    head, tail = _json_report(_compute_report(params, ()), _COMPACT, memo)
     opening, sep, closing = _COMPACT.lists[1]
-    return f"{head}{opening}{sep.join(_cohomology_texts(params, primes, memo))}{closing}{tail}".encode()
+    return f"{head}{opening}{sep.join(_cohomology_texts(params, ps, memo))}{closing}{tail}".encode()
 
 
 def _rows(
     points: Iterable[ManifoldParams], primes: tuple[int, ...] | None, fmt: str
 ) -> Iterator[bytes]:
-    """The rows of ``points``, in order.  JSON rows share their cohomology
-    through one memo per ``_CHUNK_CAP`` rows, the chunks a pool worker
-    takes, so a memo holds at most that many rows' entries."""
-    for i, params in enumerate(points):
-        if i % _CHUNK_CAP == 0:
+    """The rows of ``points``, in order, computed as they are asked for.
+    Rows share one memo per chunk of a pooled table: the first
+    ``_FIRST_ROWS`` rows (chunk 0), then each ``_CHUNK_ROWS`` rows (a worker
+    chunk), so a memo holds at most one worker chunk's entries."""
+    memo = _Memo()
+    for i, params in enumerate(points, _CHUNK_ROWS - _FIRST_ROWS):
+        if i % _CHUNK_ROWS == 0:
             memo = _Memo()
         yield _table_row(params, primes, fmt, memo)
 
@@ -711,7 +746,9 @@ def _rows(
 def _table_rows(
     chunk: list[ManifoldParams], primes: tuple[int, ...] | None, fmt: str
 ) -> list[bytes]:
-    return list(_rows(chunk, primes, fmt))
+    """The rows of one worker chunk, through one memo."""
+    memo = _Memo()
+    return [_table_row(params, primes, fmt, memo) for params in chunk]
 
 
 def _usable_cpus() -> int:
@@ -729,17 +766,21 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
 
     The grid is walked lazily, so the first row never waits for the rest of
     it.  With jobs = 1 or one usable CPU, rows are computed in-process.
-    Otherwise the grid is cut into chunks of ``_CHUNK_CAP`` rows.  Chunk 0
-    is computed in-process, and its first row is yielded before any pool
-    exists: a reader that stops there starts no process and never imports
-    ``concurrent.futures``.  The pool starts when the second row is asked
-    for, so that row pays its start-up, and its workers take the chunks
-    after chunk 0 while the rest of chunk 0 is yielded.  At most two chunks per worker are in flight: one
-    more is submitted each time a worker chunk's rows have been yielded.  At
-    most min(jobs, usable CPUs, chunks after chunk 0) workers are started;
-    with fewer than two, the rest of the grid is computed in-process too.
-    JSON rows of one (n, k) share their cohomology entries within each
-    chunk of ``_CHUNK_CAP`` rows (see ``_rows``)."""
+    Otherwise the grid is cut into chunk 0, of ``_FIRST_ROWS`` = 64 rows,
+    and worker chunks of ``_CHUNK_ROWS`` = 128 rows.  Chunk 0 is computed
+    in-process, and its first row is yielded before any further grid point
+    is validated and before any pool exists: a reader that stops there
+    starts no process and never imports ``concurrent.futures``.  The pool
+    starts when the second row is asked for, so that row pays its start-up,
+    and its workers take the worker chunks while the rest of chunk 0 is
+    yielded.  At most two chunks per worker are in flight (256 rows per
+    worker): one more is submitted each time a worker chunk's rows have been
+    yielded, and an early stop waits for at most the one chunk each worker
+    is computing.  At most min(jobs, usable CPUs, worker chunks) workers are
+    started; with fewer than two, the rest of the grid is computed
+    in-process too.  Rows share one memo per chunk (see ``_rows``), whichever
+    process computes them: the primes of each m, and for JSON each (n, k)'s
+    cohomology entries and Pontrjagin term heads."""
     if spec.fmt == "csv":
         yield CSV_HEADER.encode()
     points = _grid_points(spec)
@@ -747,15 +788,16 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
     if workers < 2:
         yield from _rows(points, spec.primes, spec.fmt)
         return
-    chunks = iter(lambda: list(islice(points, _CHUNK_CAP)), [])
-    first = _rows(next(chunks, []), spec.primes, spec.fmt)
+    first = _rows(list(islice(points, _FIRST_ROWS)), spec.primes, spec.fmt)
     yield from islice(first, 1)
+    chunks = iter(lambda: list(islice(points, _CHUNK_ROWS)), [])
     window = list(islice(chunks, 2 * workers))
     workers = min(workers, len(window))
     if workers < 2:
-        # rows follow chunk 0 only when it is full, so the memos start at the
-        # same rows as in one walk of the grid
-        yield from chain(first, _rows(chain(*window, points), spec.primes, spec.fmt))
+        # the grid ends within one worker chunk
+        yield from first
+        for chunk in window:
+            yield from _table_rows(chunk, spec.primes, spec.fmt)
         return
     # imported here, so commands that start no pool never load it
     from concurrent.futures import ProcessPoolExecutor

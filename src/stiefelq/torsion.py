@@ -19,8 +19,11 @@ whose sum n < p never carries), so the part of m made of such primes drops
 out at r = n - k + 1.  Splitting m therefore needs trial division by 2..n
 only, never a full factorization of m.
 
-The height of y is the largest r with y^r nonzero, always between n - k and
-n - 1.
+Each order divides the one before it: the order at r is m for r <= n - k,
+and the gcd at r + 1 takes one more binomial than the gcd at r.  So the
+orders above 1 come first and the 1s form the tail.  The height of y, the
+largest r with y^r nonzero, is therefore n minus the number of orders equal
+to 1, and always lies between n - k and n - 1.
 """
 
 from __future__ import annotations
@@ -92,6 +95,5 @@ def _orders(n: int, k: int, m: int) -> Iterator[int]:
 def torsion_profile(params: ManifoldParams) -> TorsionProfile:
     """All n orders of ``_orders`` and the height they give."""
     orders = tuple(_orders(params.n, params.k, params.m))
-    # orders[n - k - 1] = m >= 2, so the maximum below exists.
-    height = max(r for r, o in enumerate(orders, start=1) if o > 1)
-    return TorsionProfile(orders, height)
+    # the 1s are the tail of the divisor chain (see the module docstring)
+    return TorsionProfile(orders, params.n - orders.count(1))

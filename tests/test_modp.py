@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiefelq import modp
-from stiefelq.manifold import validate
+from stiefelq.arith import is_prime
+from stiefelq.manifold import ParameterError, validate
 from stiefelq.modp import (
     CohomologyCase,
     PolyGenerator,
@@ -213,6 +214,18 @@ class TestPresentation:
                         got = set(pres.exterior_degrees) - {1}
                         assert got == expected
 
+    def test_prime_is_tested_once(self, monkeypatch):
+        # p is tested once, then the unchecked cores take it as proven
+        calls = []
+        monkeypatch.setattr(modp, "is_prime", lambda p: calls.append(p) or is_prime(p))
+        assert presentation(validate(15, 7, 12), 3).case is CASES.ODD_DIVIDES
+        assert calls == [3]
+        calls.clear()
+        assert truncation_exponent(15, 7, 3) == 9
+        assert calls == [3]
+        with pytest.raises(ValueError, match="p must be prime, got 4"):
+            presentation(validate(15, 7, 12), 4)
+
 
 class TestPoincarePolynomial:
     @given(_presentations())
@@ -322,6 +335,24 @@ class TestPoincarePolynomial:
         assert coeffs == _naive_poincare(pres, n, k)
         if k >= 64:
             assert total_dimension(pres, k).bit_length() > 64
+
+    @pytest.mark.parametrize(
+        "n, k, reason",
+        [
+            pytest.param(0, -1, "k-too-small", id="k-negative"),  # was OverflowError
+            pytest.param(2.0, 1, "n-not-int", id="n-float"),  # was TypeError
+            pytest.param(3, 2.0, "k-not-int", id="k-float"),  # was AttributeError
+            pytest.param(6, 6, "k-not-below-n", id="k-equals-n"),  # answered
+        ],
+    )
+    def test_n_and_k_are_checked_as_validate_checks_them(self, n, k, reason):
+        pres = presentation(validate(6, 3, 6), 5)
+        with pytest.raises(ParameterError) as exc:
+            poincare_polynomial(pres, n, k)
+        assert exc.value.reason == reason
+        with pytest.raises(ParameterError) as exc:
+            validate(n, k, 6)
+        assert exc.value.reason == reason
 
     def test_example_3_2_2(self):
         _, coeffs = _coeffs(3, 2, 2, 2)

@@ -17,10 +17,11 @@ from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from stiefelq import charclass, cli, modp, report, span, torsion
+from stiefelq.arith import is_prime
 from stiefelq.cli import main
 from stiefelq.manifold import ManifoldParams, ParameterError, _record, validate
 from stiefelq.report import (
@@ -118,6 +119,27 @@ def _field_cases():
                 value = value[key]
             for variant in ("swap", "float", "item") if isinstance(value, list) else ("swap", "float"):
                 yield pytest.param(path, variant, id=f"{cls.__name__}.{name}-{variant}")
+
+
+@st.composite
+def _pooled_grids(draw):
+    """Small JSON grids of at least two worker chunks after chunk 0, so a
+    pool starts, whose (n, k) runs of m values cross a chunk boundary."""
+    n_lo = draw(st.integers(3, 7))
+    n_hi = draw(st.integers(n_lo, n_lo + 2))
+    runs = sum(n - 1 for n in range(n_lo, n_hi + 1))
+    m_lo = draw(st.integers(2, 30))
+    least = -(-(report._FIRST_ROWS + report._CHUNK_ROWS + 1) // runs)
+    m_hi = m_lo + draw(st.integers(least, least + 15)) - 1
+    primes = draw(st.none() | st.lists(st.sampled_from((2, 3, 5, 7, 11)), min_size=1, max_size=3))
+    return GridSpec(n_range=(n_lo, n_hi), k_range=None, m_range=(m_lo, m_hi), primes=primes,
+                    fmt="json", jobs=2)
+
+
+def _chunks(rows: list) -> list[list]:
+    """``rows`` cut where a table's memos start: chunk 0, then worker chunks."""
+    first, size = report._FIRST_ROWS, report._CHUNK_ROWS
+    return [rows[:first]] + [rows[i : i + size] for i in range(first, len(rows), size)]
 
 
 @pytest.fixture
@@ -703,9 +725,9 @@ class TestTable:
 
     def test_pooled_rows_stream_from_the_grid(self, monkeypatch, inline_pool):
         # the pool path walks the grid lazily too, and computes chunk 0
-        # itself: the first row of a 352k-point table waits for one chunk of
+        # itself: the first row of a 352k-point table waits for chunk 0's 64
         # grid points and no pool; the pool starts when the next row is asked
-        # for
+        # for, and takes two worker chunks of 128 per worker
         calls = []
 
         def counted(*args):
@@ -719,15 +741,17 @@ class TestTable:
         assert next(rows) == CSV_HEADER.encode()
         assert next(rows).startswith(b"3,1,2,")
         assert inline_pool["started"] == []
-        assert len(calls) <= report._CHUNK_CAP + 1
+        assert report._FIRST_ROWS == 64 and report._CHUNK_ROWS == 128
+        assert len(calls) <= report._FIRST_ROWS + 1
         assert next(rows).startswith(b"3,1,3,")
         assert inline_pool["started"] == [2]
-        assert len(calls) <= (1 + 2 * 2) * report._CHUNK_CAP + 1
+        assert len(calls) <= report._FIRST_ROWS + 2 * 2 * report._CHUNK_ROWS + 1
         rows.close()
 
     def test_worker_count_is_bounded(self, monkeypatch, inline_pool):
         monkeypatch.setattr(report, "_usable_cpus", lambda: 4)
-        # 5 k values per m over n 3..4: 1300 rows fill 21 chunks of 64
+        # 5 k values per m over n 3..4: 1300 rows fill chunk 0 and 10
+        # worker chunks of 128
         wide = GridSpec(n_range=(3, 4), k_range=None, m_range=(2, 261))
         serial = render_table(wide)
         triples = [tuple(map(int, row.split(b",")[:3])) for row in serial.splitlines()[1:]]
@@ -735,8 +759,8 @@ class TestTable:
         for spec, jobs, workers in [
             (wide, 10**9, 4),  # CPU count bounds
             (wide, 3, 3),  # jobs bounds
-            # 130 rows: chunk 0 and two chunks after it, which bound
-            (replace(wide, m_range=(2, 27)), 10**9, 2),
+            # 195 rows: chunk 0 and two worker chunks, which bound
+            (replace(wide, m_range=(2, 40)), 10**9, 2),
         ]:
             inline_pool.update(started=[], peak=0)
             table = render_table(replace(spec, jobs=jobs))
@@ -746,8 +770,8 @@ class TestTable:
             if spec is wide:
                 assert table == serial
                 assert inline_pool["peak"] == 2 * workers  # the window fills
-        # fewer than two chunks after chunk 0: rows are computed in-process
-        for m_range in [(2, 3), (2, 14)]:  # 10 rows, 65 rows
+        # fewer than two worker chunks: rows are computed in-process
+        for m_range in [(2, 3), (2, 14), (2, 39)]:  # 10 rows, 65 rows, 190 rows
             inline_pool.update(started=[])
             few = GridSpec(n_range=(3, 4), k_range=None, m_range=m_range, jobs=10**9)
             assert render_table(few) == render_table(replace(few, jobs=1))
@@ -830,6 +854,42 @@ class TestTable:
         assert {(True, True, 2), (False, True, 2), (True, False, 1), (False, False, 3)} <= shapes
         assert not any(sw for _, sw, m4 in shapes if m4 != 2)
 
+    @given(spec=_pooled_grids())
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_pooled_json_rows_match_serial_rows_and_the_compact_dump(
+        self, monkeypatch, inline_pool, spec
+    ):
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+        points = list(report._grid_points(spec))
+        runs = [(q.n, q.k) for q in points]
+        cuts = range(report._FIRST_ROWS, len(points), report._CHUNK_ROWS)
+        assume(any(runs[i - 1] == runs[i] for i in cuts))
+        inline_pool.update(started=[])
+        pooled = list(generate_table(spec))
+        assert inline_pool["started"] == [2]
+        assert pooled == list(generate_table(replace(spec, jobs=1)))
+        assert len(pooled) == len(points)
+        for row, params in zip(pooled, points):
+            rep = compute_report(params, spec.primes)
+            assert row == json.dumps(report_to_dict(rep), separators=(",", ":")).encode()
+
+    def test_proven_primes_are_not_tested_again(self, monkeypatch, inline_pool):
+        # default_primes and _check_primes prove the primes; presentations
+        # built for reports and table rows take them as proven
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+        calls = []
+        monkeypatch.setattr(modp, "is_prime", lambda p: calls.append(p) or is_prime(p))
+        compute_report(validate(15, 7, 60))
+        compute_report(validate(9, 4, 6), (2, 3, 5))
+        for fmt in ("json", "csv"):
+            for jobs in (1, 2):
+                spec = GridSpec(n_range=(3, 9), k_range=None, m_range=(2, 12), fmt=fmt, jobs=jobs)
+                assert len(list(generate_table(spec))) == 35 * 11 + (fmt == "csv")
+        assert inline_pool["started"] == [2, 2]
+        assert calls == []
+        modp.presentation(validate(15, 7, 12), 3)
+        assert calls == [3]
+
     def test_json_row_escapes_notes_and_provenance(self, monkeypatch):
         params = validate(6, 1, 10)
         rep = compute_report(params)
@@ -843,35 +903,45 @@ class TestTable:
         assert rb'\u00e9' in row and rb'\"' in row and rb"\\" in row and rb"\u0000" in row
 
     def test_json_rows_build_each_entry_once_per_n_k(self, monkeypatch):
-        built = []
+        # two (n, k) runs of 99 rows: chunk 0 holds (9, 3) alone, worker
+        # chunk 1 the end of (9, 3) and most of (9, 4), chunk 2 the rest
+        built, factored = [], []
 
         def counted(params, p):
             pres = presentation(params, p)
-            built.append((p, pres.case))
+            built.append((params.n, params.k, p, pres.case))
             return pres
 
-        presentation = report.presentation
-        monkeypatch.setattr(report, "presentation", counted)
-        spec = GridSpec(n_range=(9, 9), k_range=(4, 4), m_range=(2, 40), fmt="json")
-        rows = list(generate_table(spec))
-        assert len(rows) == 39
-        wanted = set()
-        for m in range(2, 41):
-            wanted.update((p, modp.classify(m, p)) for p in default_primes(m))
+        presentation = report._presentation
+        monkeypatch.setattr(report, "_presentation", counted)
+        monkeypatch.setattr(report, "default_primes", lambda m: factored.append(m) or default_primes(m))
+        spec = GridSpec(n_range=(9, 9), k_range=(3, 4), m_range=(2, 100), fmt="json")
+        points = list(report._grid_points(spec))
+        assert len(list(generate_table(spec))) == len(points) == 198
+        wanted, ms = [], []
+        for chunk in _chunks(points):
+            wanted += {(q.n, q.k, p, modp.classify(q.m, p)) for q in chunk for p in default_primes(q.m)}
+            ms += {q.m for q in chunk}
+        assert len(ms) == 64 + 99 + 6
         assert sorted(built, key=str) == sorted(wanted, key=str)
-        # CSV rows print no cohomology and share nothing
+        # the primes of each m are looked up once per chunk
+        assert sorted(factored) == sorted(ms)
+        # CSV rows print no cohomology and share only the primes
         built.clear()
+        factored.clear()
         list(generate_table(replace(spec, fmt="csv")))
-        assert len(built) == sum(len(default_primes(m)) for m in range(2, 41))
+        assert len(built) == sum(len(default_primes(q.m)) for q in points)
+        assert sorted(factored) == sorted(ms)
 
     def test_memo_holds_one_n_k(self):
         memo = report._Memo()
-        first = report._cohomology_texts(validate(7, 3, 6), None, memo)
-        assert report._cohomology_texts(validate(7, 3, 12), None, memo)[1] is first[1]  # p = 3
+        first = report._cohomology_texts(validate(7, 3, 6), (2, 3), memo)
+        assert report._cohomology_texts(validate(7, 3, 12), (2, 3), memo)[1] is first[1]  # p = 3
         # three entries, two lists: h = 5 for both cases of p = 2, h = 6 for p = 3
         assert len(memo.texts) == 3 and set(memo.poincare) == {5, 6}
-        report._cohomology_texts(validate(7, 4, 6), None, memo)
-        assert memo.n_k == (7, 4)
+        memo.terms = ["a term head of (7, 3)"]
+        report._cohomology_texts(validate(7, 4, 6), (2, 3), memo)
+        assert memo.n_k == (7, 4) and memo.terms is None
         assert set(memo.texts) == {(2, "TWO_MOD_FOUR"), (3, "ODD_DIVIDES")}
         # C(7, 4) is nonzero mod 2 and mod 3: both entries print the list of h = 4
         assert set(memo.poincare) == {4}
@@ -885,7 +955,8 @@ class TestTable:
         rows, passed = [], []
 
         def counted(presentations, n, k):
-            passed.append((len(rows) // report._CHUNK_CAP, presentations))
+            after = len(rows) - report._FIRST_ROWS  # rows after chunk 0
+            passed.append((0 if after < 0 else 1 + after // report._CHUNK_ROWS, presentations))
             return poincare_polynomials(presentations, n, k)
 
         poincare_polynomials = report._poincare_polynomials
@@ -894,8 +965,7 @@ class TestTable:
         for row in generate_table(spec):
             rows.append(row)
         assert len(rows) == 400
-        for chunk in range(7):
-            ms = range(2 + chunk * report._CHUNK_CAP, min(402, 2 + (chunk + 1) * report._CHUNK_CAP))
+        for chunk, ms in enumerate(_chunks(list(range(2, 402)))):
             keys = {(p, modp.classify(m, p)) for m in ms for p in default_primes(m)}
             hs = {None if case is modp.CohomologyCase.COPRIME else modp.truncation_exponent(n, k, p)
                   for p, case in keys}
@@ -928,16 +998,17 @@ class TestTable:
         # take the rows in grid order, which is m order here
         seen.sort(key=lambda s: s[1])
         assert [m for _, m, _ in seen] == list(range(2, 401))
-        assert len({id(memo) for memo, _, _ in seen}) == 7
+        # chunk 0, of 64 rows, and worker chunks of 128, 128 and 79 rows
+        assert len({id(memo) for memo, _, _ in seen}) == 4
         sizes = []
-        for start in range(0, 399, report._CHUNK_CAP):
-            chunk = seen[start : start + report._CHUNK_CAP]
+        for chunk in _chunks(seen):
             assert all(memo is chunk[0][0] for memo, _, _ in chunk)
+            assert len(chunk[0][0].primes) == len(chunk)  # one m per row here
             keys = {(p, modp.classify(m, p)) for _, m, _ in chunk for p in default_primes(m)}
             sizes.append(max(size for _, _, size in chunk))
             assert sizes[-1] == len(keys)
         # against 80 for the whole run: 2's three cases and 77 odd primes
-        assert max(sizes) == 46
+        assert sizes == [20, 46, 61, 52]
         assert len({(p, modp.classify(m, p)) for m in range(2, 401) for p in default_primes(m)}) == 80
 
     def test_empty_ranges_rejected(self):
@@ -1027,8 +1098,8 @@ class TestTable:
         reason="only forked workers inherit the patched row function",
     )
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        # n 3..200 at k = 1 is chunk 0 (n 3..66) and three chunks after it;
-        # the rows for n >= 100 fail, and only a real worker computes them
+        # n 3..200 at k = 1 is chunk 0 (n 3..66) and two worker chunks after
+        # it; the rows for n >= 100 fail, and only a real worker computes them
         monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
         table_row = report._table_row
 
@@ -1046,8 +1117,8 @@ class TestTable:
         n, pid = re.fullmatch(r"n=(\d+) in process (\d+)", str(exc.value)).groups()
         assert int(n) == 100 and int(pid) != os.getpid()
         # the header and chunk 0 reach the caller; no row of the worker chunk
-        # of n 67..130 does, since rows come back a chunk at a time
-        assert len(rows) == 1 + report._CHUNK_CAP
+        # of n 67..194 does, since rows come back a chunk at a time
+        assert len(rows) == 1 + report._FIRST_ROWS
         assert rows[-1].startswith(b"66,1,2,")
 
 

@@ -115,6 +115,14 @@ class TestProfiles:
         assert prof.orders[n - 1] == 1  # C(n, n) = 1 kills the top power
         assert n - k <= prof.height <= n - 1
 
+    @given(_params(max_n=40, max_m=5000))
+    @settings(max_examples=200)
+    def test_height_is_n_minus_the_ones(self, params):
+        # the height read off the chain's tail of 1s, against the scan it
+        # replaced, over orders folded from math.comb
+        orders = _gcd_fold_orders(params.n, params.k, params.m)
+        assert torsion_profile(params).height == max(r for r, o in enumerate(orders, start=1) if o > 1)
+
     def test_mod_p_truncation_consistency(self):
         # for p | m: p divides every order below the mod-p truncation
         # exponent and not the order at it; the last m has a prime above n
