@@ -126,14 +126,14 @@ def truncation_exponent(n: int, k: int, p: int) -> int:
     By Lucas, C(n, j) mod p is the product of the digit binomials C(n_i, j_i)
     over the base-p digits, so it is nonzero exactly when every digit of j is
     at most the matching digit of n.
+
+    n and k are checked as ``validate`` checks them, and p as
+    ``presentation`` checks it.
     """
     _check_int(n, "n")
     _check_int(k, "k")
-    _check_int(p, "p")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_k(n, k)
+    _check_prime(p)
     return _truncation_exponent(n, k, p)
 
 
@@ -153,12 +153,10 @@ def _truncation_exponent(n: int, k: int, p: int) -> int:
 def classify(m: int, p: int) -> CohomologyCase:
     """Which of the four mod-p cohomology cases m falls in: COPRIME when p
     does not divide m, ODD_DIVIDES for an odd p dividing m, and for p = 2
-    TWO_MOD_FOUR or ZERO_MOD_FOUR by m mod 4.  Raises ``ValueError`` when p
-    is not a prime."""
+    TWO_MOD_FOUR or ZERO_MOD_FOUR by m mod 4.  p is checked as
+    ``presentation`` checks it."""
     _check_int(m, "m")
-    _check_int(p, "p")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime(p)
     return _case(m, p)
 
 
@@ -171,12 +169,19 @@ def _case(m: int, p: int) -> CohomologyCase:
     return CohomologyCase.TWO_MOD_FOUR if m % 4 == 2 else CohomologyCase.ZERO_MOD_FOUR
 
 
-def presentation(params: ManifoldParams, p: int) -> RingPresentation:
-    """The additive mod-p presentation for one prime p.  Raises
-    ``ValueError`` when p is not a prime."""
+def _check_prime(p: int) -> None:
+    """Raise ``ParameterError`` with reason ``p-not-int`` unless p is exactly
+    an int, and ``p-not-prime`` unless it is a prime."""
     _check_int(p, "p")
     if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+        raise ParameterError("p-not-prime", f"p must be prime, got {p}")
+
+
+def presentation(params: ManifoldParams, p: int) -> RingPresentation:
+    """The additive mod-p presentation for one prime p.  Raises
+    ``ParameterError`` with reason ``p-not-int`` or ``p-not-prime`` unless p
+    is an exact int and a prime."""
+    _check_prime(p)
     return _presentation(params, p)
 
 
@@ -279,10 +284,20 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
 
     n and k are checked as ``validate`` checks them: ``ParameterError`` with
     reason ``n-not-int``, ``k-not-int``, ``k-too-small`` or ``k-not-below-n``.
+    A presentation that is not the one of (n, k) for its p and case raises
+    ``ParameterError`` with reason ``presentation-mismatch``.
     """
     _check_int(n, "n")
     _check_int(k, "k")
     _check_k(n, k)
+    # a presentation depends on m only through its case: rebuild it from an
+    # m of that case, which takes O(k)
+    p, cases = pres.p, CohomologyCase
+    m = {cases.COPRIME: p + 1, cases.ODD_DIVIDES: p, cases.TWO_MOD_FOUR: 2, cases.ZERO_MOD_FOUR: 4}
+    if _presentation(ManifoldParams(n, k, m[pres.case]), p) != pres:
+        raise ParameterError(
+            "presentation-mismatch", f"the presentation is not the mod-{p} one of (n={n}, k={k})"
+        )
     return _poincare_polynomials((pres,), n, k)[0]
 
 
@@ -335,10 +350,19 @@ def _palindrome(length: int, low: list[_T]) -> list[_T]:
 
 def total_dimension(pres: RingPresentation, k: int) -> int:
     """Total mod-p dimension: 2^k when p is coprime to m, otherwise twice the
-    degree-2 truncation exponent times 2^(k-1)."""
+    degree-2 truncation exponent times 2^(k-1).
+
+    The exterior degrees of ``pres`` fix the k it was built for: there are k
+    of them, or k - 1 in TWO_MOD_FOUR.  Another k raises ``ParameterError``
+    with reason ``presentation-mismatch``."""
     _check_int(k, "k")
     if k < 1:
         raise ParameterError("k-too-small", f"k must be >= 1, got {k}")
+    built_for = len(pres.exterior_degrees) + (pres.case is CohomologyCase.TWO_MOD_FOUR)
+    if k != built_for:
+        raise ParameterError(
+            "presentation-mismatch", f"the presentation was built for k={built_for}, got k={k}"
+        )
     if pres.case is CohomologyCase.COPRIME:
         return 2**k
     assert pres.deg2_truncation is not None

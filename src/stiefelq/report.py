@@ -18,8 +18,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, is_dataclass
 from enum import EnumMeta
 from functools import cache
-from itertools import islice
+from itertools import chain, groupby, islice
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
@@ -152,44 +153,20 @@ def _cohomology(params: ManifoldParams, primes: tuple[int, ...]) -> tuple[Cohomo
     )
 
 
-class _Memo:
-    """What the table rows of one chunk share.  ``primes`` holds the
-    default primes of each m.  The rest belongs to one (n, k), the last that
-    ``at`` was given, and holds compact JSON texts across m: those of its
-    cohomology entries, keyed by (p, case value), of their Poincare lists,
-    keyed by h, and the head of each Pontrjagin term, up to its modulus."""
-
-    __slots__ = ("primes", "n_k", "texts", "poincare", "terms")
-
-    def __init__(self) -> None:
-        self.primes: dict[int, tuple[int, ...]] = {}
-        self.n_k: tuple[int, int] | None = None
-        self.texts: dict[tuple[int, str], str] = {}
-        self.poincare: dict[int | None, str] = {}
-        self.terms: list[str] | None = None
-
-    def primes_of(self, m: int) -> tuple[int, ...]:
-        """``default_primes(m)``, factored once per memo."""
-        ps = self.primes.get(m)
-        if ps is None:
-            ps = self.primes[m] = default_primes(m)
-        return ps
-
-    def at(self, n: int, k: int) -> None:
-        """Move the memo to (n, k), dropping the texts of any other."""
-        if self.n_k != (n, k):
-            self.n_k, self.texts, self.poincare, self.terms = (n, k), {}, {}, None
-
-
-def _cohomology_texts(params: ManifoldParams, primes: tuple[int, ...], memo: _Memo) -> list[str]:
-    """``_cohomology`` as the entries' compact JSON texts, through ``memo``.
-    m enters an entry only through its case, so an entry is fixed by (n, k,
-    p, case): entries the memo lacks are written once by ``_json_entry``.
-    Their Poincare lists depend on h (``deg2_truncation``) alone: those of
-    the h values the memo lacks come from one expansion."""
+def _cohomology_texts(
+    params: ManifoldParams,
+    primes: tuple[int, ...],
+    texts: dict[tuple[int, str], str],
+    lists: dict[int | None, str],
+) -> list[str]:
+    """``_cohomology`` as the entries' compact JSON texts, sharing those of
+    the rows before it of its (n, k): ``texts`` holds entry texts by (p, case
+    value), and ``lists`` Poincare list texts by h.  m enters an entry only
+    through its case, so an entry is fixed by (n, k, p, case): entries
+    ``texts`` lacks are written once by ``_json_entry``.  Their Poincare
+    lists depend on h (``deg2_truncation``) alone: those of the h values
+    ``lists`` lacks come from one expansion."""
     n, k = params.n, params.k
-    memo.at(n, k)
-    texts, lists = memo.texts, memo.poincare
     # the primes are proven already, so the key needs no primality test.
     # It holds the case's value, whose hash is C code, unlike an Enum
     # member's.
@@ -568,12 +545,9 @@ def _term_heads(terms: Sequence[PontrjaginTerm], layout: _Layout) -> list[str]:
     ]
 
 
-def _json_report(
-    report: InvariantReport, layout: _Layout, memo: _Memo | None = None
-) -> tuple[str, str]:
+def _json_report(report: InvariantReport, layout: _Layout, heads: list[str]) -> tuple[str, str]:
     """A report: the text before its cohomology list and the text after it.
-    A table row passes its chunk's ``memo`` (compact layout) for the term
-    heads of its (n, k)."""
+    ``heads`` are its Pontrjagin terms' heads (``_term_heads``)."""
     schema_version, n, k, m, dimension, pi1_order, euler_characteristic, orientable, \
         picard_order, almost_complex_guaranteed, complex_structure_guaranteed, orders, \
         height, cohomology, pontrjagin, stiefel_whitney, all_pontrjagin_vanish, all_sw_vanish, \
@@ -588,13 +562,6 @@ def _json_report(
     sw_open, sw_sep, sw_close = layout.lists[2] if c.stiefel_whitney else _EMPTY
     pr_open, pr_sep, pr_close = layout.lists[2] if s.provenance else _EMPTY
     notes_open, notes_sep, notes_close = layout.lists[1] if report.notes else _EMPTY
-    if memo is None:
-        heads = _term_heads(c.pontrjagin, layout)
-    else:
-        memo.at(p.n, p.k)
-        if memo.terms is None:
-            memo.terms = _term_heads(c.pontrjagin, layout)
-        heads = memo.terms
     terms = terms_sep.join([
         f"{head}{x.modulus!r}{reduced}{x.reduced!r}{is_zero}{tf[x.is_zero]}{term_end}"
         for head, x in zip(heads, c.pontrjagin)])
@@ -629,7 +596,8 @@ def _json_dossier(report: InvariantReport) -> list[str]:
     byte for byte: the templates of table rows, in the indented layout.
     Each Poincare list's coefficients are one piece, not copied: a large
     report's lists are most of its bytes."""
-    head, tail = _json_report(report, _INDENTED)
+    heads = _term_heads(report.char_classes.pontrjagin, _INDENTED)
+    head, tail = _json_report(report, _INDENTED, heads)
     opening, sep, closing = _INDENTED.lists[1] if report.cohomology else _EMPTY
     out = [head, opening]
     for i, e in enumerate(report.cohomology):
@@ -716,39 +684,42 @@ def _grid_points(spec: GridSpec) -> Iterator[ManifoldParams]:
                 yield params
 
 
-def _table_row(
-    params: ManifoldParams, primes: tuple[int, ...] | None, fmt: str, memo: _Memo
-) -> bytes:
-    ps = memo.primes_of(params.m) if primes is None else primes
-    if fmt == "csv":
-        # CSV rows print no cohomology: they share only the primes
-        return render(_compute_report(params, _cohomology(params, ps)), "csv_row")
-    # one compact JSON object per row
-    head, tail = _json_report(_compute_report(params, ()), _COMPACT, memo)
-    opening, sep, closing = _COMPACT.lists[1]
-    return f"{head}{opening}{sep.join(_cohomology_texts(params, ps, memo))}{closing}{tail}".encode()
-
-
-def _rows(
+def _chunk_rows(
     points: Iterable[ManifoldParams], primes: tuple[int, ...] | None, fmt: str
 ) -> Iterator[bytes]:
-    """The rows of ``points``, in order, computed as they are asked for.
-    Rows share one memo per chunk of a pooled table: the first
-    ``_FIRST_ROWS`` rows (chunk 0), then each ``_CHUNK_ROWS`` rows (a worker
-    chunk), so a memo holds at most one worker chunk's entries."""
-    memo = _Memo()
-    for i, params in enumerate(points, _CHUNK_ROWS - _FIRST_ROWS):
-        if i % _CHUNK_ROWS == 0:
-            memo = _Memo()
-        yield _table_row(params, primes, fmt, memo)
+    """The rows of one chunk of a table, in order, each computed when it is
+    asked for.  What the rows share lives in locals and goes with the
+    chunk: the default primes of each m, and, across each run of rows of one
+    (n, k), the compact JSON texts of its cohomology entries and Poincare
+    lists (see ``_cohomology_texts``) and its Pontrjagin term heads."""
+    primes_of: dict[int, tuple[int, ...]] = {}
+    opening, sep, closing = _COMPACT.lists[1]
+    for _, run in groupby(points, attrgetter("n", "k")):
+        texts: dict[tuple[int, str], str] = {}
+        lists: dict[int | None, str] = {}
+        heads = None
+        for params in run:
+            m = params.m
+            ps = primes or primes_of.get(m) or primes_of.setdefault(m, default_primes(m))
+            if fmt == "csv":
+                # CSV rows print no cohomology: they share only the primes
+                yield render(_compute_report(params, _cohomology(params, ps)), "csv_row")
+                continue
+            # one compact JSON object per row
+            report = _compute_report(params, ())
+            if heads is None:
+                heads = _term_heads(report.char_classes.pontrjagin, _COMPACT)
+            head, tail = _json_report(report, _COMPACT, heads)
+            cohomology = sep.join(_cohomology_texts(params, ps, texts, lists))
+            yield f"{head}{opening}{cohomology}{closing}{tail}".encode()
 
 
 def _table_rows(
     chunk: list[ManifoldParams], primes: tuple[int, ...] | None, fmt: str
 ) -> list[bytes]:
-    """The rows of one worker chunk, through one memo."""
-    memo = _Memo()
-    return [_table_row(params, primes, fmt, memo) for params in chunk]
+    """The rows of one worker chunk as one list, which the worker can send
+    back, unlike a generator."""
+    return list(_chunk_rows(chunk, primes, fmt))
 
 
 def _usable_cpus() -> int:
@@ -765,30 +736,34 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
     any ``jobs`` value: workers only compute, rows come back in grid order.
 
     The grid is walked lazily, so the first row never waits for the rest of
-    it.  With jobs = 1 or one usable CPU, rows are computed in-process.
-    Otherwise the grid is cut into chunk 0, of ``_FIRST_ROWS`` = 64 rows,
-    and worker chunks of ``_CHUNK_ROWS`` = 128 rows.  Chunk 0 is computed
+    it, and is cut into chunk 0, of ``_FIRST_ROWS`` = 64 rows, then chunks
+    of ``_CHUNK_ROWS`` = 128 rows.  Each chunk's rows come from one
+    ``_chunk_rows``, which shares work between them, whichever process
+    computes them.  With jobs = 1 or one usable CPU every chunk is computed
+    in-process, each walked point by point.  Otherwise chunk 0 is computed
     in-process, and its first row is yielded before any further grid point
     is validated and before any pool exists: a reader that stops there
     starts no process and never imports ``concurrent.futures``.  The pool
     starts when the second row is asked for, so that row pays its start-up,
-    and its workers take the worker chunks while the rest of chunk 0 is
-    yielded.  At most two chunks per worker are in flight (256 rows per
-    worker): one more is submitted each time a worker chunk's rows have been
-    yielded, and an early stop waits for at most the one chunk each worker
-    is computing.  At most min(jobs, usable CPUs, worker chunks) workers are
-    started; with fewer than two, the rest of the grid is computed
-    in-process too.  Rows share one memo per chunk (see ``_rows``), whichever
-    process computes them: the primes of each m, and for JSON each (n, k)'s
-    cohomology entries and Pontrjagin term heads."""
+    and its workers take the later chunks while the rest of chunk 0 is
+    yielded.  At most two chunks per worker are in flight: one more is
+    submitted each time a worker chunk's rows have been yielded, and an
+    early stop waits for at most the one chunk each worker is computing.
+    At most min(jobs, usable CPUs, worker chunks) workers are started; with
+    fewer than two, the rest of the grid is computed in-process too."""
     if spec.fmt == "csv":
         yield CSV_HEADER.encode()
     points = _grid_points(spec)
     workers = min(spec.jobs, _usable_cpus())
     if workers < 2:
-        yield from _rows(points, spec.primes, spec.fmt)
+        # each chunk is walked from its first point on as its rows are asked for
+        size = _FIRST_ROWS
+        for params in points:
+            chunk = chain((params,), islice(points, size - 1))
+            yield from _chunk_rows(chunk, spec.primes, spec.fmt)
+            size = _CHUNK_ROWS
         return
-    first = _rows(list(islice(points, _FIRST_ROWS)), spec.primes, spec.fmt)
+    first = _chunk_rows(list(islice(points, _FIRST_ROWS)), spec.primes, spec.fmt)
     yield from islice(first, 1)
     chunks = iter(lambda: list(islice(points, _CHUNK_ROWS)), [])
     window = list(islice(chunks, 2 * workers))
@@ -797,7 +772,7 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
         # the grid ends within one worker chunk
         yield from first
         for chunk in window:
-            yield from _table_rows(chunk, spec.primes, spec.fmt)
+            yield from _chunk_rows(chunk, spec.primes, spec.fmt)
         return
     # imported here, so commands that start no pool never load it
     from concurrent.futures import ProcessPoolExecutor

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from array import array
 
@@ -21,6 +22,7 @@ from stiefelq.modp import (
     total_dimension,
     truncation_exponent,
 )
+from stiefelq.report import default_primes
 
 PRIMES = (2, 3, 5, 7)
 CASES = CohomologyCase
@@ -113,6 +115,28 @@ class TestTruncationExponent:
             truncation_exponent(4, 2, 6)  # composite p
         with pytest.raises(ValueError):
             truncation_exponent(4, 4, 2)  # k not below n
+
+    @pytest.mark.parametrize(
+        "n, k, p, reason",
+        [
+            (3, 3, 2, "k-not-below-n"),  # a bare ValueError
+            (3, 0, 2, "k-too-small"),
+            (3.0, 2, 2, "n-not-int"),
+            (4, 2, 6, "p-not-prime"),
+            (4, 2, 1, "p-not-prime"),
+            (4, 2, True, "p-not-int"),
+        ],
+    )
+    def test_rejects_with_reason_codes(self, n, k, p, reason):
+        # n and k as validate checks them, p as presentation checks it
+        with pytest.raises(ParameterError) as exc:
+            truncation_exponent(n, k, p)
+        assert exc.value.reason == reason
+        if isinstance(p, int) and not isinstance(p, bool) and p != 2:
+            for call in (lambda: presentation(validate(4, 2, 6), p), lambda: classify(6, p)):
+                with pytest.raises(ParameterError) as exc:
+                    call()
+                assert exc.value.reason == "p-not-prime"
 
 
 class TestClassify:
@@ -368,6 +392,54 @@ class TestPoincarePolynomial:
         assert coeffs[4] == 0
         assert coeffs[8] == 1
         assert len(coeffs) == 9  # nothing above the dimension 8
+
+    def test_total_dimension_refuses_a_k_the_presentation_was_not_built_for(self):
+        # returned 6,597,069,766,656 = 2 * 3 * 2^39
+        with pytest.raises(ParameterError) as exc:
+            total_dimension(presentation(validate(6, 3, 6), 3), 40)
+        assert exc.value.reason == "presentation-mismatch"
+        # the exterior degrees fix k: k of them, k - 1 in TWO_MOD_FOUR
+        for n in range(2, 30):
+            for k in range(1, n):
+                for m in range(2, 30):
+                    for p in default_primes(m):  # every case, COPRIME for 2 at odd m
+                        pres = presentation(validate(n, k, m), p)
+                        assert total_dimension(pres, k) > 0
+                        for other in {1, k - 1, k + 1, n} - {k, 0}:
+                            with pytest.raises(ParameterError) as exc:
+                                total_dimension(pres, other)
+                            assert exc.value.reason == "presentation-mismatch"
+
+    def test_poincare_polynomial_refuses_a_presentation_of_another_n_k(self):
+        # returned 34 coefficients for a presentation of (6, 3)
+        with pytest.raises(ParameterError) as exc:
+            poincare_polynomial(presentation(validate(6, 3, 6), 3), 7, 3)
+        assert exc.value.reason == "presentation-mismatch"
+        # rebuilt from an m of its case, a presentation fits only its own
+        # (n, k), whatever the m it was built for
+        for n in range(2, 10):
+            for k in range(1, n):
+                for m in (2, 3, 4, 5, 6, 12, 35):
+                    for p in (2, 3, 5, 7):
+                        pres = presentation(validate(n, k, m), p)
+                        for n2 in range(2, 10):
+                            for k2 in range(1, n2):
+                                if (n2, k2) == (n, k):
+                                    assert poincare_polynomial(pres, n2, k2) == _naive_poincare(pres, n, k)
+                                    continue
+                                with pytest.raises(ParameterError) as exc:
+                                    poincare_polynomial(pres, n2, k2)
+                                assert exc.value.reason == "presentation-mismatch", (n, k, m, p, n2, k2)
+        # a presentation edited by hand is refused too
+        pres = presentation(validate(6, 3, 6), 3)
+        for edited in (
+            dataclasses.replace(pres, deg2_truncation=pres.deg2_truncation + 1),
+            dataclasses.replace(pres, p=5),
+            dataclasses.replace(pres, exterior_degrees=pres.exterior_degrees[:-1]),
+        ):
+            with pytest.raises(ParameterError) as exc:
+                poincare_polynomial(edited, 6, 3)
+            assert exc.value.reason == "presentation-mismatch"
 
     def test_total_dimension_examples(self):
         pres, coeffs = _coeffs(3, 2, 2, 2)

@@ -122,9 +122,9 @@ def _field_cases():
 
 
 @st.composite
-def _pooled_grids(draw):
-    """Small JSON grids of at least two worker chunks after chunk 0, so a
-    pool starts, whose (n, k) runs of m values cross a chunk boundary."""
+def _pooled_grids(draw, fmt="json"):
+    """Small grids of at least two worker chunks after chunk 0, so a pool
+    starts, whose (n, k) runs of m values cross a chunk boundary."""
     n_lo = draw(st.integers(3, 7))
     n_hi = draw(st.integers(n_lo, n_lo + 2))
     runs = sum(n - 1 for n in range(n_lo, n_hi + 1))
@@ -133,11 +133,11 @@ def _pooled_grids(draw):
     m_hi = m_lo + draw(st.integers(least, least + 15)) - 1
     primes = draw(st.none() | st.lists(st.sampled_from((2, 3, 5, 7, 11)), min_size=1, max_size=3))
     return GridSpec(n_range=(n_lo, n_hi), k_range=None, m_range=(m_lo, m_hi), primes=primes,
-                    fmt="json", jobs=2)
+                    fmt=fmt, jobs=2)
 
 
 def _chunks(rows: list) -> list[list]:
-    """``rows`` cut where a table's memos start: chunk 0, then worker chunks."""
+    """``rows`` cut where a table's chunks start: chunk 0, then worker chunks."""
     first, size = report._FIRST_ROWS, report._CHUNK_ROWS
     return [rows[:first]] + [rows[i : i + size] for i in range(first, len(rows), size)]
 
@@ -873,6 +873,28 @@ class TestTable:
             rep = compute_report(params, spec.primes)
             assert row == json.dumps(report_to_dict(rep), separators=(",", ":")).encode()
 
+    @given(spec=_pooled_grids("csv"))
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_pooled_csv_rows_match_serial_rows_and_the_report_row(
+        self, monkeypatch, inline_pool, spec
+    ):
+        # CSV rows go through the chunks' shared primes too: at jobs 1 and
+        # pooled, each equals the row of the full report
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+        points = list(report._grid_points(spec))
+        runs = [(q.n, q.k) for q in points]
+        cuts = range(report._FIRST_ROWS, len(points), report._CHUNK_ROWS)
+        assume(any(runs[i - 1] == runs[i] for i in cuts))
+        inline_pool.update(started=[])
+        pooled = list(generate_table(spec))
+        assert inline_pool["started"] == [2]
+        serial = list(generate_table(replace(spec, jobs=1)))
+        assert pooled[0] == serial[0] == CSV_HEADER.encode()
+        assert len(pooled) == len(serial) == 1 + len(points)
+        for pooled_row, serial_row, params in zip(pooled[1:], serial[1:], points):
+            expected = render(compute_report(params, spec.primes), "csv_row")
+            assert pooled_row == serial_row == expected
+
     def test_proven_primes_are_not_tested_again(self, monkeypatch, inline_pool):
         # default_primes and _check_primes prove the primes; presentations
         # built for reports and table rows take them as proven
@@ -898,7 +920,7 @@ class TestTable:
         # the row path, with the report's other layers standing in for edited's
         monkeypatch.setattr(report, "_compute_report", lambda p, cohomology: replace(
             edited, cohomology=cohomology))
-        row = report._table_row(params, None, "json", report._Memo())
+        row = next(report._chunk_rows([params], None, "json"))
         assert row == json.dumps(report_to_dict(edited), separators=(",", ":")).encode()
         assert rb'\u00e9' in row and rb'\"' in row and rb"\\" in row and rb"\u0000" in row
 
@@ -933,19 +955,36 @@ class TestTable:
         assert len(built) == sum(len(default_primes(q.m)) for q in points)
         assert sorted(factored) == sorted(ms)
 
-    def test_memo_holds_one_n_k(self):
-        memo = report._Memo()
-        first = report._cohomology_texts(validate(7, 3, 6), (2, 3), memo)
-        assert report._cohomology_texts(validate(7, 3, 12), (2, 3), memo)[1] is first[1]  # p = 3
+    def test_rows_share_texts_within_one_n_k(self, monkeypatch):
+        # a chunk's rows of one (n, k) share their entry and list texts and
+        # their term heads; the next (n, k) starts afresh
+        seen, heads = [], []
+
+        def recorded(params, primes, texts, lists):
+            out = cohomology_texts(params, primes, texts, lists)
+            seen.append((texts, lists, out))
+            return out
+
+        cohomology_texts, term_heads = report._cohomology_texts, report._term_heads
+        monkeypatch.setattr(report, "_cohomology_texts", recorded)
+        monkeypatch.setattr(report, "_term_heads",
+                            lambda terms, layout: heads.append(len(terms)) or term_heads(terms, layout))
+        points = [validate(7, 3, 6), validate(7, 3, 12), validate(7, 4, 6)]
+        rows = list(report._chunk_rows(points, None, "json"))
+        (texts, lists, first), (texts12, lists12, second), (texts4, lists4, _) = seen
+        assert texts12 is texts and lists12 is lists
+        assert second[1] is first[1]  # p = 3
         # three entries, two lists: h = 5 for both cases of p = 2, h = 6 for p = 3
-        assert len(memo.texts) == 3 and set(memo.poincare) == {5, 6}
-        memo.terms = ["a term head of (7, 3)"]
-        report._cohomology_texts(validate(7, 4, 6), (2, 3), memo)
-        assert memo.n_k == (7, 4) and memo.terms is None
-        assert set(memo.texts) == {(2, "TWO_MOD_FOUR"), (3, "ODD_DIVIDES")}
+        assert len(texts) == 3 and set(lists) == {5, 6}
+        # (7, 4) writes its own texts and term heads (three terms each)
+        assert texts4 is not texts and lists4 is not lists and heads == [3, 3]
+        assert set(texts4) == {(2, "TWO_MOD_FOUR"), (3, "ODD_DIVIDES")}
         # C(7, 4) is nonzero mod 2 and mod 3: both entries print the list of h = 4
-        assert set(memo.poincare) == {4}
-        assert all(f'"poincare":[{memo.poincare[4]}]' in text for text in memo.texts.values())
+        assert set(lists4) == {4}
+        assert all(f'"poincare":[{lists4[4]}]' in text for text in texts4.values())
+        for row, params in zip(rows, points):
+            expected = json.dumps(report_to_dict(compute_report(params)), separators=(",", ":"))
+            assert row == expected.encode()
 
     def test_json_rows_expand_each_poincare_list_once_per_h(self, monkeypatch):
         # a Poincare list of one (n, k) depends on its truncation exponent h
@@ -977,20 +1016,21 @@ class TestTable:
                                      separators=(",", ":")).encode()
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_memo_holds_at_most_one_chunk_of_rows(self, monkeypatch, inline_pool, jobs):
+    def test_shared_texts_hold_at_most_one_chunk_of_rows(self, monkeypatch, inline_pool, jobs):
         # one (n, k) over a long m range: each new prime factor of m adds a
-        # key, so a memo kept for the whole run would hold one per prime
+        # key, so texts kept for the whole run would hold one per prime
         # below the top of the range
         monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
-        seen = []
+        seen, factored = [], []
 
-        def recorded(params, primes, memo):
-            texts = cohomology_texts(params, primes, memo)
-            seen.append((memo, params.m, len(memo.texts)))
-            return texts
+        def recorded(params, primes, texts, lists):
+            out = cohomology_texts(params, primes, texts, lists)
+            seen.append((texts, params.m, len(texts)))
+            return out
 
         cohomology_texts = report._cohomology_texts
         monkeypatch.setattr(report, "_cohomology_texts", recorded)
+        monkeypatch.setattr(report, "default_primes", lambda m: factored.append(m) or default_primes(m))
         spec = GridSpec(n_range=(5, 5), k_range=(2, 2), m_range=(2, 400), fmt="json", jobs=jobs)
         assert len(list(generate_table(spec))) == 399
         assert inline_pool["started"] == ([2] if jobs == 2 else [])
@@ -998,12 +1038,13 @@ class TestTable:
         # take the rows in grid order, which is m order here
         seen.sort(key=lambda s: s[1])
         assert [m for _, m, _ in seen] == list(range(2, 401))
+        # one m per row here, so each chunk factors each m once
+        assert sorted(factored) == list(range(2, 401))
         # chunk 0, of 64 rows, and worker chunks of 128, 128 and 79 rows
-        assert len({id(memo) for memo, _, _ in seen}) == 4
+        assert len({id(texts) for texts, _, _ in seen}) == 4
         sizes = []
         for chunk in _chunks(seen):
-            assert all(memo is chunk[0][0] for memo, _, _ in chunk)
-            assert len(chunk[0][0].primes) == len(chunk)  # one m per row here
+            assert all(texts is chunk[0][0] for texts, _, _ in chunk)
             keys = {(p, modp.classify(m, p)) for _, m, _ in chunk for p in default_primes(m)}
             sizes.append(max(size for _, _, size in chunk))
             assert sizes[-1] == len(keys)
@@ -1095,20 +1136,20 @@ class TestTable:
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
-        reason="only forked workers inherit the patched row function",
+        reason="only forked workers inherit the patched report function",
     )
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         # n 3..200 at k = 1 is chunk 0 (n 3..66) and two worker chunks after
         # it; the rows for n >= 100 fail, and only a real worker computes them
         monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
-        table_row = report._table_row
+        compute = report._compute_report
 
-        def failing(params, *args):
+        def failing(params, cohomology):
             if params.n >= 100:
                 raise ParameterError("too-large", f"n={params.n} in process {os.getpid()}")
-            return table_row(params, *args)
+            return compute(params, cohomology)
 
-        monkeypatch.setattr(report, "_table_row", failing)
+        monkeypatch.setattr(report, "_compute_report", failing)
         rows = []
         with pytest.raises(ParameterError) as exc:
             rows.extend(generate_table(GridSpec(n_range=(3, 200), k_range=(1, 1),

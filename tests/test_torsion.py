@@ -123,6 +123,15 @@ class TestProfiles:
         orders = _gcd_fold_orders(params.n, params.k, params.m)
         assert torsion_profile(params).height == max(r for r, o in enumerate(orders, start=1) if o > 1)
 
+    @given(st.one_of(_params(max_n=44, max_m=49), _large_params()))
+    @settings(max_examples=300)
+    def test_height_from_truncation_exponents(self, params):
+        # the height is n - k, or one below the mod-p truncation exponent of
+        # a prime p dividing m, whichever is largest
+        n, k, m = params.n, params.k, params.m
+        exponents = [truncation_exponent(n, k, p) for p, _ in factorize(m)]
+        assert torsion_profile(params).height == max(n - k, max(exponents) - 1)
+
     def test_mod_p_truncation_consistency(self):
         # for p | m: p divides every order below the mod-p truncation
         # exponent and not the order at it; the last m has a prime above n
