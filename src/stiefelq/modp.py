@@ -284,20 +284,29 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
 
     n and k are checked as ``validate`` checks them: ``ParameterError`` with
     reason ``n-not-int``, ``k-not-int``, ``k-too-small`` or ``k-not-below-n``.
-    A presentation that is not the one of (n, k) for its p and case raises
-    ``ParameterError`` with reason ``presentation-mismatch``.
+    A presentation whose p is not an exact int and a prime, or that is not
+    the one of (n, k) for its p and case, raises ``ParameterError`` with
+    reason ``presentation-mismatch``.
     """
     _check_int(n, "n")
     _check_int(k, "k")
     _check_k(n, k)
+    p = pres.p
+    mismatch = ParameterError(
+        "presentation-mismatch", f"the presentation is not the mod-{p!r} one of (n={n}, k={k})"
+    )
+    # the rebuild below assumes a proven prime; a record edited or loaded
+    # with any other p is no presentation at all
+    try:
+        _check_prime(p)
+    except ParameterError:
+        raise mismatch from None
     # a presentation depends on m only through its case: rebuild it from an
     # m of that case, which takes O(k)
-    p, cases = pres.p, CohomologyCase
+    cases = CohomologyCase
     m = {cases.COPRIME: p + 1, cases.ODD_DIVIDES: p, cases.TWO_MOD_FOUR: 2, cases.ZERO_MOD_FOUR: 4}
-    if _presentation(ManifoldParams(n, k, m[pres.case]), p) != pres:
-        raise ParameterError(
-            "presentation-mismatch", f"the presentation is not the mod-{p} one of (n={n}, k={k})"
-        )
+    if pres.case not in m or _presentation(ManifoldParams(n, k, m[pres.case]), p) != pres:
+        raise mismatch
     return _poincare_polynomials((pres,), n, k)[0]
 
 

@@ -119,7 +119,7 @@ class TestTruncationExponent:
     @pytest.mark.parametrize(
         "n, k, p, reason",
         [
-            (3, 3, 2, "k-not-below-n"),  # a bare ValueError
+            (3, 3, 2, "k-not-below-n"),
             (3, 0, 2, "k-too-small"),
             (3.0, 2, 2, "n-not-int"),
             (4, 2, 6, "p-not-prime"),
@@ -394,7 +394,6 @@ class TestPoincarePolynomial:
         assert len(coeffs) == 9  # nothing above the dimension 8
 
     def test_total_dimension_refuses_a_k_the_presentation_was_not_built_for(self):
-        # returned 6,597,069,766,656 = 2 * 3 * 2^39
         with pytest.raises(ParameterError) as exc:
             total_dimension(presentation(validate(6, 3, 6), 3), 40)
         assert exc.value.reason == "presentation-mismatch"
@@ -411,7 +410,6 @@ class TestPoincarePolynomial:
                             assert exc.value.reason == "presentation-mismatch"
 
     def test_poincare_polynomial_refuses_a_presentation_of_another_n_k(self):
-        # returned 34 coefficients for a presentation of (6, 3)
         with pytest.raises(ParameterError) as exc:
             poincare_polynomial(presentation(validate(6, 3, 6), 3), 7, 3)
         assert exc.value.reason == "presentation-mismatch"
@@ -440,6 +438,17 @@ class TestPoincarePolynomial:
             with pytest.raises(ParameterError) as exc:
                 poincare_polynomial(edited, 6, 3)
             assert exc.value.reason == "presentation-mismatch"
+        # so is one whose p is not an exact int and a prime, in every case
+        for case in CASES:
+            for p in (1, 0, -1, 4, 9, True, 3.0):
+                edited = dataclasses.replace(pres, case=case, p=p)
+                with pytest.raises(ParameterError) as exc:
+                    poincare_polynomial(edited, 6, 3)
+                assert exc.value.reason == "presentation-mismatch", (case, p)
+        # and one whose case is not a CohomologyCase
+        with pytest.raises(ParameterError) as exc:
+            poincare_polynomial(dataclasses.replace(pres, case="ODD_DIVIDES"), 6, 3)
+        assert exc.value.reason == "presentation-mismatch"
 
     def test_total_dimension_examples(self):
         pres, coeffs = _coeffs(3, 2, 2, 2)
