@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, Iterator
 
-from stiefelq.manifold import ManifoldParams, _record
+from stiefelq.manifold import ManifoldParams, ParameterError, _record
 from stiefelq.modp import _truncation_exponent
 from stiefelq.torsion import TorsionProfile
 
@@ -91,7 +91,25 @@ def _pontrjagin_terms(params: ManifoldParams, orders: Iterable[int]) -> Iterator
 def char_class_report(params: ManifoldParams, profile: TorsionProfile) -> CharClassReport:
     """All Pontrjagin terms for 1 <= j <= n/2 plus the Stiefel-Whitney terms
     and the two summary flags.  ``profile`` is the torsion profile of
-    ``params``; it supplies every modulus."""
+    ``params``; it supplies every modulus.
+
+    A profile whose shape cannot belong to ``params`` raises
+    ``ParameterError`` with reason ``profile-mismatch``: it needs n orders,
+    the first n - k of them equal to m and the last equal to 1."""
+    n, k, m = params.n, params.k, params.m
+    orders = profile.orders
+    if len(orders) != n or orders[-1] != 1 or tuple(orders[: n - k]) != (m,) * (n - k):
+        raise ParameterError(
+            "profile-mismatch",
+            f"the torsion profile is not one of (n={n}, k={k}, m={m}): it needs {n} orders, "
+            f"the first {n - k} equal to {m} and the last equal to 1",
+        )
+    return _char_class_report(params, profile)
+
+
+def _char_class_report(params: ManifoldParams, profile: TorsionProfile) -> CharClassReport:
+    """``char_class_report`` for the profile of ``params``, as reports build
+    it."""
     pont = tuple(_pontrjagin_terms(params, profile.orders))
     sw = stiefel_whitney_classes(params)
     return CharClassReport(

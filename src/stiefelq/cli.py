@@ -13,7 +13,7 @@ import sys
 from itertools import islice
 
 from stiefelq.manifold import ParameterError, validate
-from stiefelq.report import GridSpec, _json_dossier, compute_report, generate_table, render
+from stiefelq.report import GridSpec, _compute_text, _json_dossier, compute_report, generate_table
 from stiefelq.span import span_report
 
 
@@ -78,13 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     params = validate(args.n, args.k, args.m)
-    report = compute_report(params, args.primes)
     if args.format == "json":
         # ``render(report, "json")`` piece by piece: no joined copy of the
         # whole dossier, as str or as bytes
-        sys.stdout.buffer.writelines(map(str.encode, _json_dossier(report)))
+        pieces = _json_dossier(compute_report(params, args.primes))
+        sys.stdout.buffer.writelines(map(str.encode, pieces))
     else:
-        sys.stdout.buffer.write(render(report, args.format))
+        # ``render(report, "text")`` without the Poincare lists it never prints
+        sys.stdout.buffer.write(_compute_text(params, args.primes))
     sys.stdout.buffer.flush()
     return 0
 

@@ -36,12 +36,10 @@ import sys
 from array import array
 from enum import Enum
 from itertools import repeat
-from typing import Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from stiefelq.arith import is_prime
 from stiefelq.manifold import ManifoldParams, ParameterError, _check_int, _check_k, _record
-
-_T = TypeVar("_T")
 
 # Unsigned array type code of each item size among 1, 2, 4 and 8 bytes, the
 # first that has it ("L" is 4 bytes on some platforms and 8 on others).
@@ -109,14 +107,14 @@ class RingPresentation:
         Generators are labelled by degree, ascending.
         """
         if self.case is CohomologyCase.COPRIME:
-            gens = ", ".join(f"v{d}" for d in self.exterior_degrees)
+            gens = ", ".join(map("v{}".format, self.exterior_degrees))
             return f"Lambda_Z_{self.p}({gens})"
         g = self.poly_generator
         assert g is not None
         poly = f"Z_{self.p}[y{g.degree}]/(y{g.degree}^{g.truncation})"
         if not self.exterior_degrees:
             return poly
-        gens = ", ".join(f"y{d}" for d in self.exterior_degrees)
+        gens = ", ".join(map("y{}".format, self.exterior_degrees))
         return f"{poly} (x) Lambda({gens})"
 
 
@@ -254,19 +252,25 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
     factors still to come are 1 + t^d: B's are part of the whole run, the
     others part of one prime's answer.  Each slot of S is a partial sum of
     B's coefficients, and B lacks at least one factor of the run, so it sums
-    to at most 2^(k-1).  No slot borrows either: below t^H the
-    difference S - t^(2h) S agrees with the nonnegative polynomial
-    (1 - t^(2h))/(1 - t) B, whose coefficients fit their slots, so masking
-    the (possibly negative) integer to its low H slots, two's complement,
-    leaves exactly those coefficients.  Slots of at most 8 bytes are read
-    back as one ``array``; wider ones through ``int.from_bytes`` mapped over
-    ``re.findall`` of the slots, both at C level.
+    to at most 2^(k-1).  No slot borrows either: (1 - t^(2h)) S is formed
+    as S minus t^(2h) times the low H - 2h slots of S, and its coefficient
+    of t^i, i < H, is S_i - S_(i-2h), a sum of 2h coefficients of B, so the
+    difference of two nonnegative integers is nonnegative slot by slot.
+    Slots of at most 8 bytes are read back as one ``array``; wider ones
+    through ``int.from_bytes`` mapped over ``re.findall`` of the slots, both
+    at C level.
 
-    Only the low H = (dim + 2) // 2 slots are formed at all; Poincare
-    duality gives the rest.  Shifts move slots only upward and no slot
-    carries, so the low H slots of a product depend only on the low H slots
-    of its factors: every product is masked back to H slots, and so is S,
-    formed as ((B << 8wH) - B) // (2^(8w) - 1), B times 1 + t + ... + t^(H-1).
+    Only the low H = (dim + 2) // 2 slots are read back; Poincare duality
+    gives the rest.  Shifts move slots only upward, and so do carries, so
+    the low H slots of a product depend only on the low H slots of its
+    factors: products are cut back to H slots now and then (see
+    ``_poincare_polynomials``).  S, below t^H, is B times
+    1 + t + ... + t^(H-1).  Slots of 1 or 2 bytes form it as
+    ((B << 8wH) - B) // (2^(8w) - 1), one division by a one-digit int.
+    Wider slots, where that divisor takes more digits and the division ran
+    twice as long, form it as B times (1 + t)(1 + t^2)(1 + t^4)...(1 + t^(2^j))
+    = 1 + t + ... + t^(2^(j+1) - 1) for the least j with 2^(j+1) >= H: log2 H
+    shift-adds.
 
     Each factor is palindromic: (1 + t^d) of degree d, and the series
     1 + t^g + ... + t^(g(T - 1)) of degree g(T - 1).  A product of
@@ -307,14 +311,22 @@ def poincare_polynomial(pres: RingPresentation, n: int, k: int) -> list[int]:
     m = {cases.COPRIME: p + 1, cases.ODD_DIVIDES: p, cases.TWO_MOD_FOUR: 2, cases.ZERO_MOD_FOUR: 4}
     if pres.case not in m or _presentation(ManifoldParams(n, k, m[pres.case]), p) != pres:
         raise mismatch
-    return _poincare_polynomials((pres,), n, k)[0]
+    return list(_poincare_polynomials((pres,), n, k)[0])
 
 
 def _poincare_polynomials(
     presentations: Sequence[RingPresentation], n: int, k: int
-) -> list[list[int]]:
-    """``poincare_polynomial`` of each presentation of one (n, k), from one
-    expansion of the factor they share."""
+) -> list[tuple[int, ...]]:
+    """``poincare_polynomial`` of each presentation of one (n, k), as a
+    tuple, from one expansion of the factor they share.
+
+    Masking: a product is cut to its low H slots only once its degree bound
+    has passed H - 1 by more than H // 8, and once more at its end.  A cut
+    is a pass over H slots, so each factor taken uncut saves one, while the
+    slots above H only lengthen the next shift-add a little.  The low H
+    slots stay exact whatever the dropped ones held, since shifts and
+    carries only move upward: slot i of a product never depends on a slot
+    above i of its factors."""
     w = (k - 1) // 8 + 1
     if w <= 8:
         w = 1 << (w - 1).bit_length()
@@ -323,21 +335,26 @@ def _poincare_polynomials(
     half = (length + 1) // 2
     mask = (1 << half * bits) - 1
     omitted = {2 * p.deg2_truncation - 1 for p in presentations if p.deg2_truncation is not None}
-    base = 1
-    for deg in range(2 * n - 2 * k + 1, 2 * n, 2):
-        if deg not in omitted:
-            base = (base + (base << deg * bits)) & mask
-    if omitted:
+    run = range(2 * n - 2 * k + 1, 2 * n, 2)
+    base = _times(1, 0, [d for d in run if d not in omitted], bits, half, mask)
+    if omitted and bits <= 16:
+        # 2^(8w) - 1 is one 30-bit digit of a CPython int: one division beats
+        # log2 H shift-adds
         series = (((base << half * bits) - base) // ((1 << bits) - 1)) & mask
+    elif omitted:
+        doublings = [1 << i for i in range((half - 1).bit_length())]
+        series = _times(base, half - 1, doublings, bits, half, mask)
     polys = []
     for pres in presentations:
         h = pres.deg2_truncation
         if h is None:
             packed, rest = base, omitted
         else:
-            packed, rest = (series - (series << 2 * h * bits)) & mask, omitted - {2 * h - 1}
-        for deg in rest:
-            packed = (packed + (packed << deg * bits)) & mask
+            # (1 - t^(2h)) S, of its H slots, from nonnegative ints only
+            packed, rest = series, omitted - {2 * h - 1}
+            if 2 * h < half:
+                packed -= (series & ((1 << (half - 2 * h) * bits) - 1)) << 2 * h * bits
+        packed = _times(packed, half - 1, rest, bits, half, mask)
         raw = packed.to_bytes(half * w, "little")
         if w > 8:
             low = list(map(int.from_bytes, re.findall(b".{%d}" % w, raw, re.S), repeat("little")))
@@ -346,15 +363,25 @@ def _poincare_polynomials(
             if sys.byteorder == "big":
                 slots.byteswap()
             low = slots.tolist()
-        polys.append(_palindrome(length, low))
+        # the mirror of the first length // 2 slots (length >= 4 for valid
+        # n and k); it holds the same int objects
+        low += low[length // 2 - 1 :: -1]
+        polys.append(tuple(low))
     return polys
 
 
-def _palindrome(length: int, low: list[_T]) -> list[_T]:
-    """The palindrome of ``length`` items whose first (length + 1) // 2 items,
-    the middle one included when ``length`` is odd, are ``low``.  The
-    mirrored half holds the same objects as the first."""
-    return low + low[: length // 2][::-1]
+def _times(packed: int, top: int, degrees: Iterable[int], bits: int, half: int, mask: int) -> int:
+    """``packed``, a product of degree at most ``top`` in slots of ``bits``
+    bits, times 1 + t^d for each d in ``degrees``, masked to its low
+    ``half`` slots (``mask``) as ``_poincare_polynomials`` masks."""
+    limit = half - 1 + half // 8
+    for deg in degrees:
+        packed += packed << deg * bits
+        top += deg
+        if top > limit:
+            packed &= mask
+            top = half - 1
+    return packed & mask if top >= half else packed
 
 
 def total_dimension(pres: RingPresentation, k: int) -> int:

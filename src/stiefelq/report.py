@@ -25,7 +25,7 @@ from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from stiefelq.arith import _decimal_to_int, _int_to_decimal, factorize, is_prime
-from stiefelq.charclass import CharClassReport, PontrjaginTerm, char_class_report
+from stiefelq.charclass import CharClassReport, PontrjaginTerm, _char_class_report
 from stiefelq.manifold import (
     BasicInvariants,
     ManifoldParams,
@@ -38,7 +38,6 @@ from stiefelq.manifold import (
 from stiefelq.modp import (
     RingPresentation,
     _case,
-    _palindrome,
     _poincare_polynomials,
     _presentation,
     total_dimension,
@@ -132,8 +131,13 @@ def compute_report(
     (default: the primes dividing m, plus 2).  Presentations are listed with
     p ascending.  Each layer runs once: the torsion profile feeds the char
     classes, and those feed the span verdicts."""
-    checked = default_primes(params.m) if primes is None else _check_primes(primes)
-    return _compute_report(params, _cohomology(params, checked))
+    return _compute_report(params, _cohomology(params, _report_primes(params, primes)))
+
+
+def _report_primes(params: ManifoldParams, primes: Sequence[int] | None) -> tuple[int, ...]:
+    """The primes of a report of ``params``: ``primes`` checked, or the
+    default ones of m."""
+    return default_primes(params.m) if primes is None else _check_primes(primes)
 
 
 def _cohomology(params: ManifoldParams, primes: tuple[int, ...]) -> tuple[CohomologyEntry, ...]:
@@ -146,7 +150,7 @@ def _cohomology(params: ManifoldParams, primes: tuple[int, ...]) -> tuple[Cohomo
         CohomologyEntry(
             p=pres.p,
             presentation=pres,
-            poincare=tuple(coeffs),
+            poincare=coeffs,
             total_dimension=total_dimension(pres, params.k),
         )
         for pres, coeffs in zip(presentations, polys)
@@ -195,8 +199,10 @@ def _compute_report(
             "cohomology)",
             "k = 1: the span = stable-span criteria make no statement",
         )
+    # the profile is built here from params, so the core skips the check
+    # that a profile of another (n, k, m) gets
     torsion = torsion_profile(params)
-    char_classes = char_class_report(params, torsion)
+    char_classes = _char_class_report(params, torsion)
     return InvariantReport(
         params=params,
         basic=basic_invariants(params),
@@ -383,7 +389,14 @@ def _csv_row(report: InvariantReport) -> str:
     )
 
 
-def _text_dossier(report: InvariantReport) -> str:
+def _text_dossier(
+    report: InvariantReport, cohomology: Iterable[tuple[int, RingPresentation, int]]
+) -> str:
+    """The text dossier of ``report``, whose mod-p section lists
+    ``cohomology``: p, presentation and total dimension of each entry.  It
+    prints no Poincare list, so ``_compute_text`` writes it from a report
+    without cohomology entries, and ``render`` from the entries of a full
+    one."""
     p, b, s = report.params, report.basic, report.span
     yesno = {True: "yes", False: "no"}
     lines = [
@@ -397,18 +410,17 @@ def _text_dossier(report: InvariantReport) -> str:
         f"  complex guaranteed        {yesno[b.complex_structure_guaranteed]}",
         "",
         "torsion of the degree-2 class",
-        f"  orders of powers r=1..{p.n}: "
-        + ", ".join(str(o) for o in report.torsion.orders),
+        f"  orders of powers r=1..{p.n}: " + ", ".join(map(str, report.torsion.orders)),
         f"  height: {report.torsion.height}",
         "  free exterior generators in odd degrees: "
-        + ", ".join(str(d) for d in range(2 * p.n - 2 * p.k + 1, 2 * p.n, 2)),
+        + ", ".join(map(str, range(2 * p.n - 2 * p.k + 1, 2 * p.n, 2))),
         "",
         "mod-p cohomology",
     ]
-    for e in report.cohomology:
-        lines.append(f"  p={e.p}  case {e.presentation.case.value}")
-        lines.append(f"       {e.presentation.render()}")
-        lines.append(f"       total dimension {e.total_dimension}")
+    for prime, pres, total in cohomology:
+        lines.append(f"  p={prime}  case {pres.case.value}")
+        lines.append(f"       {pres.render()}")
+        lines.append(f"       total dimension {total}")
     lines.append("")
     lines.append("characteristic classes")
     for t in report.char_classes.pontrjagin:
@@ -500,10 +512,14 @@ def _json_ints(values: Sequence[int], sep: str) -> str:
     the list reads the same backwards (every computed Poincare list does, by
     Poincare duality; a loaded one is checked), only its first half is
     converted, and the rest is the same strings in mirror order."""
-    if values == values[::-1]:
-        half = list(map(repr, values[: (len(values) + 1) // 2]))
-        return sep.join(_palindrome(len(values), half))
-    return sep.join(map(repr, values))
+    size = len(values)
+    rest = size // 2  # the items after the middle
+    if values[:rest] != values[: size - rest - 1 : -1]:
+        return sep.join(map(repr, values))
+    half = list(map(repr, values[: size - rest]))
+    if not rest:
+        return sep.join(half)
+    return f"{sep.join(half)}{sep}{sep.join(half[rest - 1 :: -1])}"
 
 
 # The templates name each text after the key whose value follows it.  Exact
@@ -618,8 +634,22 @@ def render(report: InvariantReport, fmt: str) -> bytes:
     if fmt == "csv_row":
         return _csv_row(report).encode()
     if fmt == "text":
-        return _text_dossier(report).encode()
+        entries = [(e.p, e.presentation, e.total_dimension) for e in report.cohomology]
+        return _text_dossier(report, entries).encode()
     raise ParameterError("format-unknown", f"unknown format {fmt!r}")
+
+
+def _compute_text(params: ManifoldParams, primes: Sequence[int] | None) -> bytes:
+    """``render(compute_report(params, primes), "text")``, byte for byte,
+    without the Poincare expansion: a text dossier prints each cohomology
+    entry's presentation and total dimension, never its Poincare list, so
+    only those are built.  The report written holds no cohomology entries
+    and goes no further than the writer."""
+    entries = []
+    for p in _report_primes(params, primes):
+        pres = _presentation(params, p)
+        entries.append((p, pres, total_dimension(pres, params.k)))
+    return _text_dossier(_compute_report(params, ()), entries).encode()
 
 
 # --- tables ------------------------------------------------------------------

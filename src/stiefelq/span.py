@@ -214,10 +214,12 @@ def span_report(
 ) -> SpanReport:
     """Assemble every implemented bound and verdict, each with a provenance
     line naming the mechanism that produced it.  A caller that already holds
-    the char classes of ``params`` passes them in so they are not rebuilt.
-    Without them, the torsion orders and the char class terms are made one
-    at a time and read only up to the verdict: the first nonzero term ends
-    the work."""
+    the char classes of ``params`` passes them in so they are not rebuilt;
+    classes without n // 2 Pontrjagin terms cannot be those of ``params``
+    and raise ``ParameterError`` with reason ``classes-mismatch``.  Without
+    them, the torsion orders and the char class terms are made one at a
+    time and read only up to the verdict: the first nonzero term ends the
+    work."""
     n, k = params.n, params.k
     lower, why = _lower_bound_rule(n, k)
     prov = [f"span lower bound {lower}: {why}"]
@@ -254,7 +256,15 @@ def span_report(
         pontrjagin: Iterable[PontrjaginTerm] = _pontrjagin_terms(params, _orders(n, k, params.m))
         stiefel_whitney: Iterable[StiefelWhitneyTerm] = _stiefel_whitney_terms(params)
     else:
+        # one len(): the check costs reports, which pass their own classes,
+        # less than a private core's extra call would cost the lazy route
         pontrjagin, stiefel_whitney = char_classes.pontrjagin, char_classes.stiefel_whitney
+        if len(pontrjagin) != n // 2:
+            raise ParameterError(
+                "classes-mismatch",
+                f"the char classes are not those of (n={n}, k={k}, m={params.m}): "
+                f"they need {n // 2} Pontrjagin terms, got {len(pontrjagin)}",
+            )
     stably, plain, verdict_why = _verdicts(params, pontrjagin, stiefel_whitney)
     prov.append(verdict_why)
     return SpanReport(lower, upper, stable_lower, eq, plain, stably, tuple(prov))

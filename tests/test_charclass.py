@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+
+import pytest
 
 from stiefelq.charclass import char_class_report, stiefel_whitney_classes
-from stiefelq.manifold import validate
+from stiefelq.manifold import ParameterError, validate
 from stiefelq.modp import truncation_exponent
 from stiefelq.torsion import torsion_profile
 
@@ -124,3 +127,25 @@ class TestReport:
                 rep = _report(n, n - 1, m)
                 assert rep.all_pontrjagin_vanish
                 assert rep.all_sw_vanish
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        (9, 4, 12),  # 9 orders, not 6
+        (6, 3, 12),  # the first n - k orders are 12, not 6
+        (6, 4, 6),  # the third order is gcd(6, C(6, 3)) = 2
+        (5, 3, 6),
+    ],
+)
+def test_char_class_report_refuses_a_profile_of_another_n_k_m(other):
+    params = validate(6, 3, 6)
+    with pytest.raises(ParameterError) as exc:
+        char_class_report(params, torsion_profile(validate(*other)))
+    assert exc.value.reason == "profile-mismatch"
+    # an edited profile whose last order is not 1, the order of y^n
+    own = torsion_profile(params)
+    with pytest.raises(ParameterError) as exc:
+        char_class_report(params, replace(own, orders=own.orders[:-1] + (2,)))
+    assert exc.value.reason == "profile-mismatch"
+    assert len(char_class_report(params, own).pontrjagin) == 3

@@ -39,10 +39,14 @@ def _coeffs(n, k, m, p):
 
 def _shared(n, k, m, primes):
     """The presentations of (n, k, m) at ``primes`` and their polynomials
-    from one shared expansion."""
+    from one shared expansion, which builds each as the tuple of its report
+    entry; they are returned as lists, as ``poincare_polynomial`` gives
+    them."""
     params = validate(n, k, m)
     pres = [presentation(params, p) for p in primes]
-    return pres, modp._poincare_polynomials(pres, n, k)
+    polys = modp._poincare_polynomials(pres, n, k)
+    assert all(type(coeffs) is tuple for coeffs in polys)
+    return pres, [list(coeffs) for coeffs in polys]
 
 
 def _naive_poincare(pres: RingPresentation, n: int, k: int) -> list[int]:

@@ -17,7 +17,7 @@ from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from stiefelq import charclass, cli, modp, report, span, torsion
@@ -244,7 +244,9 @@ class TestComputeReport:
             assert not any("extrapolated" in note for note in rep.notes)
 
     def test_each_layer_runs_once(self, monkeypatch):
-        calls = {"torsion_profile": 0, "char_class_report": 0}
+        # char classes are counted at their core, which the public function
+        # and reports both call
+        calls = {"torsion_profile": 0, "_char_class_report": 0}
         starts = {"_orders": 0, "_pontrjagin_terms": 0, "_stiefel_whitney_terms": 0}
         # wrap every module binding of these names, so any route is counted
         for module in (torsion, charclass, span, report):
@@ -274,14 +276,14 @@ class TestComputeReport:
                 for name in counter:
                     counter[name] = 0
             compute_report(validate(n, k, m))
-            assert calls == {"torsion_profile": 1, "char_class_report": 1}, (n, k, m)
+            assert calls == {"torsion_profile": 1, "_char_class_report": 1}, (n, k, m)
             # span_report alone builds neither: it reads the lazy terms, each
             # generator started at most once
             for counter in (calls, starts):
                 for name in counter:
                     counter[name] = 0
             span.span_report(validate(n, k, m))
-            assert calls == {"torsion_profile": 0, "char_class_report": 0}, (n, k, m)
+            assert calls == {"torsion_profile": 0, "_char_class_report": 0}, (n, k, m)
             assert max(starts.values()) <= 1, (starts, n, k, m)
             # k = n - 1 is YES before any class is read
             assert starts["_pontrjagin_terms"] == (k != n - 1), (starts, n, k, m)
@@ -1188,6 +1190,40 @@ class TestCli:
     def test_compute_text_default(self, capsys):
         assert main(["compute", "--n", "4", "--k", "2", "--m", "2"]) == 0
         assert "frame quotient n=4 k=2 m=2" in capsys.readouterr().out
+
+    @given(
+        st.integers(2, 24).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.one_of(st.just(1), st.integers(1, n - 1)),
+            st.integers(2, 120),
+            st.one_of(st.none(), st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1)),
+        ))
+    )
+    @example((9, 1, 12, None))  # k = 1 prints notes
+    @example((9, 1, 12, [5, 2, 7]))  # COPRIME at 5 and 7
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_compute_text_equals_the_full_report_render(self, capsysbinary, point):
+        # the text route builds no Poincare list; the full report's text
+        # render is its oracle
+        n, k, m, primes = point
+        argv = ["compute", "--n", str(n), "--k", str(k), "--m", str(m), "--format", "text"]
+        if primes is not None:
+            argv += ["--primes", ",".join(map(str, primes))]
+        assert main(argv) == 0
+        expected = render(compute_report(validate(n, k, m), primes), "text")
+        assert capsysbinary.readouterr().out == expected
+
+    @pytest.mark.parametrize("n, k, m", [(140, 93, 30), (300, 150, 60)])
+    def test_compute_text_expands_no_poincare_list(self, monkeypatch, capsysbinary, n, k, m):
+        expected = render(compute_report(validate(n, k, m)), "text")
+
+        def refused(*args):
+            raise AssertionError("a text dossier expanded a Poincare list")
+
+        monkeypatch.setattr(report, "_poincare_polynomials", refused)
+        assert main(["compute", "--n", str(n), "--k", str(k), "--m", str(m)]) == 0
+        assert capsysbinary.readouterr().out == expected
 
     def test_invalid_params_exit_2(self, capsys):
         assert main(["compute", "--n", "4", "--k", "4", "--m", "2"]) == 2

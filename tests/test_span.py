@@ -292,3 +292,16 @@ class TestLazyVerdicts:
         # the modulus of term j is the order of y^(2j): nothing past y^(2j*)
         assert len(read) == 2 * j_star < params.n
         assert tuple(read) == torsion_profile(params).orders[: 2 * j_star]
+
+
+def test_span_report_refuses_classes_of_another_n_k_m():
+    # (6, 3, 6)'s own verdict is the Stiefel-Whitney class in degree 4; the
+    # 4 Pontrjagin terms of (9, 4, 12) would give another
+    params = validate(6, 3, 6)
+    other = validate(9, 4, 12)
+    with pytest.raises(ParameterError) as exc:
+        span_report(params, char_classes=char_class_report(other, torsion_profile(other)))
+    assert exc.value.reason == "classes-mismatch"
+    own = span_report(params, char_classes=char_class_report(params, torsion_profile(params)))
+    assert own == span_report(params)
+    assert own.provenance[-1] == "verdicts NO: Stiefel-Whitney class in degree 4 is nonzero"
