@@ -122,11 +122,12 @@ def factorize(q: int) -> list[tuple[int, int]]:
     Trial division takes out the factors below 1000; each cofactor left is
     proven prime by ``is_prime`` or split by Pollard-Brent.  Raises
     ``ParameterError("too-large")`` when a cofactor's primality cannot be
-    proven or the Pollard-Brent step budget runs out.
+    proven or the Pollard-Brent step budget runs out, and
+    ``ParameterError("q-too-small")`` for q < 1.
     """
     _check_int(q, "q")
     if q < 1:
-        raise ValueError("factorize expects a positive integer")
+        raise ParameterError("q-too-small", f"q must be >= 1, got {q}")
     out: list[tuple[int, int]] = []
     d = 2
     while d * d <= q and d < _TRIAL_BOUND:
@@ -174,11 +175,12 @@ def radon_hurwitz(n: int) -> int:
     """The Radon-Hurwitz number 8a + 2^b for n = (2c + 1) * 2^(4a + b).
 
     radon_hurwitz(n) - 1 is the maximal number of linearly independent vector
-    fields on the sphere S^(n-1).
+    fields on the sphere S^(n-1).  Raises ``ParameterError("n-too-small")``
+    for n < 1.
     """
     _check_int(n, "n")
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ParameterError("n-too-small", f"n must be >= 1, got {n}")
     a, b = divmod((n & -n).bit_length() - 1, 4)  # 4a + b = v_2(n)
     return 8 * a + 2**b
 

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import reprlib
+import sys
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, is_dataclass
@@ -68,9 +69,11 @@ log = logging.getLogger(__name__)
 _BOOLS = {True: "true", False: "false"}
 
 # Rows a pool worker takes at once: an early stop waits for at most one
-# chunk per worker.  Chunk 0, which a pooled table computes in-process, is
-# half as long, since its first row waits until all of its grid points are
-# validated.
+# chunk per worker.  Chunk 0, which a pooled table computes in-process while
+# its pool starts, is half as long.  At 128 rows the ``table_json_j2``
+# benchmark (12 alternating 20 s pairs, 2 CPUs, Python 3.11) read the same
+# first row and 1.3% fewer rows/s, both within the spread of the 64-row
+# runs, and 1.0% more peak RSS, higher in 10 pairs and by more than it.
 _CHUNK_ROWS = 128
 _FIRST_ROWS = _CHUNK_ROWS // 2
 
@@ -97,8 +100,11 @@ class InvariantReport:
 def default_primes(m: int) -> tuple[int, ...]:
     """The primes dividing m, plus 2 (2 always sees the orientation double
     cover and the Stiefel-Whitney side).  Raises ``ParameterError`` with
-    reason ``too-large`` when ``factorize`` cannot factor m exactly."""
+    reason ``too-large`` when ``factorize`` cannot factor m exactly, and
+    ``m-too-small`` for m < 1."""
     _check_int(m, "m")
+    if m < 1:
+        raise ParameterError("m-too-small", f"m must be >= 1, got {m}")
     return tuple(sorted({p for p, _ in factorize(m)} | {2}))
 
 
@@ -372,7 +378,10 @@ def report_from_dict(data: dict) -> InvariantReport:
 
 def report_from_json(text: str | bytes) -> InvariantReport:
     """``report_from_dict`` of the JSON ``text``.  Raises ``ValueError`` for
-    text that is not JSON, or is nested too deeply for ``json`` to parse."""
+    text that is not JSON, is nested too deeply for ``json`` to parse, or is
+    no str, bytes or bytearray."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ValueError(f"JSON text must be str or bytes, got {type(text).__name__}")
     try:
         data = json.loads(text)
     except RecursionError as exc:
@@ -760,6 +769,28 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _pool_context() -> Any:
+    """How a table's workers start.  Outside macOS: fork where the platform
+    offers it while the caller runs a single thread, else forkserver where
+    offered.  Everywhere else the platform's default.  Row 2 of a pooled
+    table pays the pool's start-up, which on Python 3.11 (2 CPUs) took
+    12.0-18.5 ms with fork, 23.4-25.7 ms with spawn and 62.4-67.2 ms with
+    forkserver, Linux's default from Python 3.14; the rows are the same
+    bytes under each.  A forked child of a threaded process may inherit a
+    lock that another thread held (Python 3.12 and later warn), and macOS
+    offers fork but its system libraries make it unsafe there."""
+    import multiprocessing
+    import threading
+
+    methods = multiprocessing.get_all_start_methods()
+    if sys.platform != "darwin":
+        if "fork" in methods and threading.active_count() == 1:
+            return multiprocessing.get_context("fork")
+        if "forkserver" in methods:
+            return multiprocessing.get_context("forkserver")
+    return multiprocessing.get_context()
+
+
 def generate_table(spec: GridSpec) -> Iterator[bytes]:
     """Yield rendered rows (no trailing newlines) in lexicographic (n, k, m)
     order; CSV starts with the header row.  The output is byte-identical for
@@ -771,14 +802,15 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
     ``_chunk_rows``, which shares work between them, whichever process
     computes them.  With jobs = 1 or one usable CPU every chunk is computed
     in-process, each walked point by point.  Otherwise chunk 0 is computed
-    in-process, and its first row is yielded before any further grid point
-    is validated and before any pool exists: a reader that stops there
-    starts no process and never imports ``concurrent.futures``.  The pool
-    starts when the second row is asked for, so that row pays its start-up,
-    and its workers take the later chunks while the rest of chunk 0 is
-    yielded.  At most two chunks per worker are in flight: one more is
-    submitted each time a worker chunk's rows have been yielded, and an
-    early stop waits for at most the one chunk each worker is computing.
+    in-process too, and its first row is yielded once one grid point is
+    validated, before any pool exists: a reader that stops there starts no
+    process and never imports ``concurrent.futures`` or ``multiprocessing``.
+    The second row asks for the rest of chunk 0's grid points, then starts
+    the pool, with the start method ``_pool_context`` picks, so that row
+    pays its start-up; the workers take the later chunks while the rest of
+    chunk 0 is yielded.  At most two chunks per worker are in flight: one
+    more is submitted each time a worker chunk's rows have been yielded, and
+    an early stop waits for at most the one chunk each worker is computing.
     At most min(jobs, usable CPUs, worker chunks) workers are started; with
     fewer than two, the rest of the grid is computed in-process too."""
     if spec.fmt == "csv":
@@ -793,8 +825,12 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
             yield from _chunk_rows(chunk, spec.primes, spec.fmt)
             size = _CHUNK_ROWS
         return
-    first = _chunk_rows(list(islice(points, _FIRST_ROWS)), spec.primes, spec.fmt)
+    # chunk 0 reads ``rest`` only after its first row, and ``rest`` is filled
+    # before any worker chunk is cut from the grid, so rows keep grid order
+    rest: list[ManifoldParams] = []
+    first = _chunk_rows(chain(islice(points, 1), rest), spec.primes, spec.fmt)
     yield from islice(first, 1)
+    rest += islice(points, _FIRST_ROWS - 1)
     chunks = iter(lambda: list(islice(points, _CHUNK_ROWS)), [])
     window = list(islice(chunks, 2 * workers))
     workers = min(workers, len(window))
@@ -807,7 +843,7 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
     # imported here, so commands that start no pool never load it
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
     try:
         pending = deque(pool.submit(_table_rows, c, spec.primes, spec.fmt) for c in window)
         yield from first

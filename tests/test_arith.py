@@ -144,6 +144,13 @@ class TestRadonHurwitz:
         assert radon_hurwitz(16) == 9
         assert radon_hurwitz(12) == 4  # 12 = 3 * 2^2
 
+    @pytest.mark.parametrize("n", [0, -1, -8])
+    def test_radon_hurwitz_refuses_n_below_1(self, n):
+        # a ParameterError, as every refused scalar of the public surface
+        with pytest.raises(ParameterError, match=f"n must be >= 1, got {n}") as exc:
+            radon_hurwitz(n)
+        assert exc.value.reason == "n-too-small"
+
     def test_monotone_on_powers_of_two_up_to_16(self):
         values = [radon_hurwitz(2**e) for e in range(5)]
         assert values == [1, 2, 4, 8, 9]
@@ -188,8 +195,11 @@ class TestPrimesHelpers:
         assert [p for p, _ in facs] == sorted({p for p, _ in facs})
 
     def test_factorize_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            factorize(0)
+        # a ParameterError, as every refused scalar of the public surface
+        for q in (0, -1, -30):
+            with pytest.raises(ParameterError, match=f"q must be >= 1, got {q}") as exc:
+                factorize(q)
+            assert exc.value.reason == "q-too-small"
 
 
 class TestPrimality:

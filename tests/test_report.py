@@ -11,7 +11,9 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
 import time
+import types
 import typing
 from concurrent.futures import Future
 from dataclasses import replace
@@ -156,7 +158,7 @@ def inline_pool(monkeypatch):
             return super().result(timeout)
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             log["started"].append(max_workers)
 
         def submit(self, fn, *args):
@@ -197,6 +199,13 @@ class TestComputeReport:
         assert default_primes(45) == (2, 3, 5)
         report = compute_report(validate(4, 2, 15))
         assert [e.p for e in report.cohomology] == [2, 3, 5]
+
+    @pytest.mark.parametrize("m", [0, -1, -12])
+    def test_default_primes_refuses_m_below_1(self, m):
+        # refused as m, not by factorize's error about a q the caller never named
+        with pytest.raises(ParameterError, match=f"m must be >= 1, got {m}") as exc:
+            default_primes(m)
+        assert exc.value.reason == "m-too-small"
 
     def test_primes_validation(self):
         with pytest.raises(ParameterError) as exc:
@@ -608,6 +617,12 @@ class TestJsonWriter:
             report_from_json(text)
         assert isinstance(exc.value.__cause__, RecursionError)
 
+    @pytest.mark.parametrize("text", [0, None, 1.5, [b"{}"]], ids=repr)
+    def test_loader_refuses_an_argument_that_is_no_text(self, text):
+        # a ValueError, as for text that is not JSON, where json.loads raises TypeError
+        with pytest.raises(ValueError, match="JSON text must be str or bytes, got "):
+            report_from_json(text)
+
     @given(_params(), st.none() | st.sets(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1))
     @settings(max_examples=80, deadline=None)
     def test_both_layouts_equal_the_standard_dumps(self, params, primes):
@@ -727,9 +742,10 @@ class TestTable:
 
     def test_pooled_rows_stream_from_the_grid(self, monkeypatch, inline_pool):
         # the pool path walks the grid lazily too, and computes chunk 0
-        # itself: the first row of a 352k-point table waits for chunk 0's 64
-        # grid points and no pool; the pool starts when the next row is asked
-        # for, and takes two worker chunks of 128 per worker
+        # itself: the first row of a 352k-point table waits for one grid
+        # point and no pool; the next row validates the rest of chunk 0,
+        # then starts the pool, which takes two worker chunks of 128 per
+        # worker
         calls = []
 
         def counted(*args):
@@ -744,11 +760,38 @@ class TestTable:
         assert next(rows).startswith(b"3,1,2,")
         assert inline_pool["started"] == []
         assert report._FIRST_ROWS == 64 and report._CHUNK_ROWS == 128
-        assert len(calls) <= report._FIRST_ROWS + 1
+        assert len(calls) <= 2
         assert next(rows).startswith(b"3,1,3,")
         assert inline_pool["started"] == [2]
         assert len(calls) <= report._FIRST_ROWS + 2 * 2 * report._CHUNK_ROWS + 1
         rows.close()
+
+    def test_pooled_table_skips_invalid_points_of_chunk_0_once(self, monkeypatch, inline_pool, caplog):
+        # k 1..4 reaches n for n = 3 and 4: (3, 3), (3, 4) and (4, 4) hold no
+        # valid point.  Rows 1..38 are (3, 1) and (3, 2), so chunk 0's 64
+        # rows skip (3, 3) and (3, 4) after row 1, and the first worker chunk
+        # skips (4, 4); 21 runs of 19 rows are chunk 0 and three worker chunks
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+        spec = GridSpec(n_range=(3, 8), k_range=(1, 4), m_range=(2, 20), jobs=2)
+        with caplog.at_level(logging.WARNING, logger="stiefelq.report"):
+            rows = generate_table(spec)
+            pooled = [next(rows), next(rows)]
+            assert pooled[1].startswith(b"3,1,2,")
+            assert caplog.records == []
+            pooled += rows
+        assert inline_pool["started"] == [2]
+        skipped = [rec.getMessage() for rec in caplog.records]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="stiefelq.report"):
+            serial = list(generate_table(replace(spec, jobs=1)))
+        assert pooled == serial and len(serial) == 1 + 21 * 19
+        assert skipped == [rec.getMessage() for rec in caplog.records]
+        assert skipped == [
+            f"skipping grid point (n={n}, k={k}, m={m}): {msg}"
+            for n, k in [(3, 3), (3, 4), (4, 4)]
+            for m in range(2, 21)
+            for msg in [f"k must be < n, got k={k}, n={n}"]
+        ]
 
     def test_worker_count_is_bounded(self, monkeypatch, inline_pool):
         monkeypatch.setattr(report, "_usable_cpus", lambda: 4)
@@ -1135,6 +1178,46 @@ class TestTable:
         assert len(rows) == len(points) == 1365
         for row, params in zip(rows, points):
             assert json.loads(row) == report_to_dict(compute_report(params, (3, 5, 2)))
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_pooled_tables_are_the_same_under_every_start_method(self, monkeypatch, method):
+        # n 3..6 x k auto x m 2..40: 546 rows are chunk 0 and four worker
+        # chunks, each computed by workers started with ``method``
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+        picked = []
+        monkeypatch.setattr(report, "_pool_context",
+                            lambda: picked.append(method) or multiprocessing.get_context(method))
+        for fmt in ("csv", "json"):
+            spec = GridSpec(n_range=(3, 6), k_range=None, m_range=(2, 40), fmt=fmt, jobs=2)
+            assert render_table(spec) == render_table(replace(spec, jobs=1))
+        assert picked == [method, method]
+
+    @pytest.mark.parametrize(
+        ("platform", "threads", "methods", "picked"),
+        [
+            ("linux", 1, ["fork", "spawn", "forkserver"], "fork"),
+            ("linux", 2, ["fork", "spawn", "forkserver"], "forkserver"),
+            ("linux", 2, ["fork", "spawn"], None),
+            ("darwin", 1, ["spawn", "fork", "forkserver"], None),
+            ("win32", 1, ["spawn"], None),
+        ],
+    )
+    def test_pool_start_method_rule(self, monkeypatch, platform, threads, methods, picked):
+        # outside macOS: fork for a caller that runs a single thread, else
+        # forkserver; everywhere else (None) the platform's default
+        asked = []
+        monkeypatch.setattr(report, "sys", types.SimpleNamespace(platform=platform))
+        monkeypatch.setattr(threading, "active_count", lambda: threads)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: asked.append(method) or asked)
+        assert report._pool_context() is asked and asked == [picked]
+
+    def test_pool_start_method_of_this_interpreter(self):
+        # a caller on one thread: fork wherever it is offered, but on macOS
+        forks = "fork" in multiprocessing.get_all_start_methods() and sys.platform != "darwin"
+        assert threading.active_count() == 1
+        expected = multiprocessing.get_context("fork" if forks else None)
+        assert report._pool_context() is expected
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
