@@ -668,7 +668,7 @@ def _compute_text(params: ManifoldParams, primes: Sequence[int] | None) -> bytes
 class GridSpec:
     """A rectangular (n, k, m) grid; k_range None means 1..n-1 for each n.
 
-    Grid points that fail validation are skipped with a logged note; the
+    Grid points that fail validation are skipped, a block per warning; the
     ranges themselves must be nonempty pairs of exact int bounds, and
     ``jobs`` an exact int.  ``primes`` is checked here, once, and kept
     sorted without repeats.
@@ -706,21 +706,34 @@ class GridSpec:
             object.__setattr__(self, "primes", _check_primes(self.primes))
 
 
+def _skip(n: object, k: object, m: str, first: tuple[int, int, int]) -> None:
+    """Warn once for a block of invalid grid points, quoting ``validate`` on its first."""
+    try:
+        validate(*first)
+    except ParameterError as exc:
+        log.warning("skipping grid points (n=%s, k=%s, m=%s): %s", n, k, m, exc)
+
+
 def _grid_points(spec: GridSpec) -> Iterator[ManifoldParams]:
-    for n in range(spec.n_range[0], spec.n_range[1] + 1):
-        ks: Iterable[int]
-        if spec.k_range is None:
-            ks = range(1, n)
-        else:
-            ks = range(spec.k_range[0], spec.k_range[1] + 1)
-        for k in ks:
-            for m in range(spec.m_range[0], spec.m_range[1] + 1):
-                try:
-                    params = validate(n, k, m)
-                except ParameterError as exc:
-                    log.warning("skipping grid point (n=%d, k=%d, m=%d): %s", n, k, m, exc)
-                    continue
-                yield params
+    """The valid points (1 <= k < n, m >= 2) in lexicographic order.  Each
+    block of invalid points is skipped at once with one warning, so time and
+    warnings grow with the rows and (n, k) runs, not the skipped points."""
+    (n_lo, n_hi), (m_lo, m_hi) = spec.n_range, spec.m_range
+    k_lo, k_hi = spec.k_range or (1, n_hi - 1)
+    k_text, m_text = "1..n-1" if spec.k_range is None else f"{k_lo}..{k_hi}", f"{m_lo}..{m_hi}"
+    n_first = max(n_lo, k_lo + 1, 2) if k_hi >= 1 and m_hi >= 2 else n_hi + 1
+    if n_first > n_lo:
+        _skip(f"{n_lo}..{min(n_first - 1, n_hi)}", k_text, m_text, (n_lo, k_lo, m_lo))
+    for n in range(n_first, n_hi + 1):
+        if k_lo < 1:
+            _skip(n, f"{k_lo}..0", m_text, (n, k_lo, m_lo))
+        for k in range(max(k_lo, 1), min(k_hi, n - 1) + 1):
+            if m_lo < 2:
+                _skip(n, k, f"{m_lo}..1", (n, k, m_lo))
+            for m in range(max(m_lo, 2), m_hi + 1):
+                yield validate(n, k, m)
+        if spec.k_range is not None and k_hi >= n:
+            _skip(n, f"{n}..{k_hi}", m_text, (n, n, m_lo))
 
 
 def _chunk_rows(
@@ -741,7 +754,7 @@ def _chunk_rows(
             m = params.m
             ps = primes or primes_of.get(m) or primes_of.setdefault(m, default_primes(m))
             if fmt == "csv":
-                # CSV rows print no cohomology: they share only the primes
+                # builds cohomology that CSV never prints (ROADMAP item 4(b), after harness item 1)
                 yield render(_compute_report(params, _cohomology(params, ps)), "csv_row")
                 continue
             # one compact JSON object per row
@@ -796,48 +809,34 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
     order; CSV starts with the header row.  The output is byte-identical for
     any ``jobs`` value: workers only compute, rows come back in grid order.
 
-    The grid is walked lazily, so the first row never waits for the rest of
-    it, and is cut into chunk 0, of ``_FIRST_ROWS`` = 64 rows, then chunks
-    of ``_CHUNK_ROWS`` = 128 rows.  Each chunk's rows come from one
-    ``_chunk_rows``, which shares work between them, whichever process
-    computes them.  With jobs = 1 or one usable CPU every chunk is computed
-    in-process, each walked point by point.  Otherwise chunk 0 is computed
-    in-process too, and its first row is yielded once one grid point is
-    validated, before any pool exists: a reader that stops there starts no
-    process and never imports ``concurrent.futures`` or ``multiprocessing``.
-    The second row asks for the rest of chunk 0's grid points, then starts
-    the pool, with the start method ``_pool_context`` picks, so that row
-    pays its start-up; the workers take the later chunks while the rest of
-    chunk 0 is yielded.  At most two chunks per worker are in flight: one
-    more is submitted each time a worker chunk's rows have been yielded, and
-    an early stop waits for at most the one chunk each worker is computing.
-    At most min(jobs, usable CPUs, worker chunks) workers are started; with
-    fewer than two, the rest of the grid is computed in-process too."""
+    The grid is walked lazily (see ``_grid_points``) and cut into chunk 0,
+    of ``_FIRST_ROWS`` = 64 rows, then chunks of ``_CHUNK_ROWS`` = 128 rows,
+    each computed by one ``_chunk_rows``, in whichever process.  Chunk 0 is
+    computed in-process; its first row waits for one grid point and no pool
+    (nor an import of ``concurrent.futures`` or ``multiprocessing``), its
+    second for the rest of its points.  With min(jobs, usable CPUs, worker
+    chunks) below two, each later chunk is computed in-process too, walked
+    point by point.  Otherwise row 2 starts the pool (``_pool_context``
+    picks its start method); at most two listed chunks per worker are in
+    flight, one more is submitted as each one's rows are yielded, and an
+    early stop waits for at most the chunk each worker is computing."""
     if spec.fmt == "csv":
         yield CSV_HEADER.encode()
     points = _grid_points(spec)
     workers = min(spec.jobs, _usable_cpus())
-    if workers < 2:
-        # each chunk is walked from its first point on as its rows are asked for
-        size = _FIRST_ROWS
-        for params in points:
-            chunk = chain((params,), islice(points, size - 1))
-            yield from _chunk_rows(chunk, spec.primes, spec.fmt)
-            size = _CHUNK_ROWS
-        return
     # chunk 0 reads ``rest`` only after its first row, and ``rest`` is filled
-    # before any worker chunk is cut from the grid, so rows keep grid order
+    # before any later chunk is cut from the grid, so rows keep grid order
     rest: list[ManifoldParams] = []
     first = _chunk_rows(chain(islice(points, 1), rest), spec.primes, spec.fmt)
     yield from islice(first, 1)
     rest += islice(points, _FIRST_ROWS - 1)
-    chunks = iter(lambda: list(islice(points, _CHUNK_ROWS)), [])
-    window = list(islice(chunks, 2 * workers))
+    # each chunk is cut from the grid only once the one before is walked
+    chunks = (chain((params,), islice(points, _CHUNK_ROWS - 1)) for params in points)
+    window = [list(chunk) for chunk in islice(chunks, 2 * workers)] if workers > 1 else []
     workers = min(workers, len(window))
     if workers < 2:
-        # the grid ends within one worker chunk
         yield from first
-        for chunk in window:
+        for chunk in chain(window, chunks):
             yield from _chunk_rows(chunk, spec.primes, spec.fmt)
         return
     # imported here, so commands that start no pool never load it
@@ -850,7 +849,7 @@ def generate_table(spec: GridSpec) -> Iterator[bytes]:
         while pending:
             yield from pending.popleft().result()
             for chunk in islice(chunks, 1):
-                pending.append(pool.submit(_table_rows, chunk, spec.primes, spec.fmt))
+                pending.append(pool.submit(_table_rows, list(chunk), spec.primes, spec.fmt))
     finally:
         # A consumer that stops early (``table | head``) must not wait for
         # the rows nobody will read.

@@ -138,6 +138,30 @@ def _pooled_grids(draw, fmt="json"):
                     fmt=fmt, jobs=2)
 
 
+@st.composite
+def _small_grids(draw):
+    """Grids of a few points a side, with negative bounds, k past n and
+    m below 2 among them."""
+    n_lo, k_lo, m_lo = draw(st.integers(-3, 8)), draw(st.integers(-3, 9)), draw(st.integers(-3, 5))
+    k_range = draw(st.none() | st.just((k_lo, k_lo + draw(st.integers(0, 6)))))
+    return GridSpec(n_range=(n_lo, n_lo + draw(st.integers(0, 6))), k_range=k_range,
+                    m_range=(m_lo, m_lo + draw(st.integers(0, 4))))
+
+
+def _warned_block(message: str, n: int):
+    """The (k, m) ranges a "skipping grid points" warning names at ``n``
+    (empty when its n range misses ``n``), and the point its message is
+    about: the block's first point."""
+    found = re.fullmatch(r"skipping grid points \(n=(\S+), k=(\S+), m=(\S+)\): (.*)", message)
+    assert found, message
+    (n_lo, n_hi), (k_lo, k_hi), (m_lo, m_hi) = (
+        (lo, hi or lo) for lo, _, hi in (text.partition("..") for text in found.groups()[:3])
+    )
+    k_top = n - 1 if k_hi == "n-1" else int(k_hi)
+    ks = range(int(k_lo), k_top + 1) if int(n_lo) <= n <= int(n_hi) else range(0)
+    return ks, range(int(m_lo), int(m_hi) + 1), (int(n_lo), int(k_lo), int(m_lo)), found[4]
+
+
 def _chunks(rows: list) -> list[list]:
     """``rows`` cut where a table's chunks start: chunk 0, then worker chunks."""
     first, size = report._FIRST_ROWS, report._CHUNK_ROWS
@@ -769,8 +793,9 @@ class TestTable:
     def test_pooled_table_skips_invalid_points_of_chunk_0_once(self, monkeypatch, inline_pool, caplog):
         # k 1..4 reaches n for n = 3 and 4: (3, 3), (3, 4) and (4, 4) hold no
         # valid point.  Rows 1..38 are (3, 1) and (3, 2), so chunk 0's 64
-        # rows skip (3, 3) and (3, 4) after row 1, and the first worker chunk
-        # skips (4, 4); 21 runs of 19 rows are chunk 0 and three worker chunks
+        # rows skip the block k = 3..4 of n = 3 after row 1, and the first
+        # worker chunk skips the block k = 4..4 of n = 4, each with one
+        # warning; 21 runs of 19 rows are chunk 0 and three worker chunks
         monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
         spec = GridSpec(n_range=(3, 8), k_range=(1, 4), m_range=(2, 20), jobs=2)
         with caplog.at_level(logging.WARNING, logger="stiefelq.report"):
@@ -787,11 +812,109 @@ class TestTable:
         assert pooled == serial and len(serial) == 1 + 21 * 19
         assert skipped == [rec.getMessage() for rec in caplog.records]
         assert skipped == [
-            f"skipping grid point (n={n}, k={k}, m={m}): {msg}"
-            for n, k in [(3, 3), (3, 4), (4, 4)]
-            for m in range(2, 21)
-            for msg in [f"k must be < n, got k={k}, n={n}"]
+            "skipping grid points (n=3, k=3..4, m=2..20): k must be < n, got k=3, n=3",
+            "skipping grid points (n=4, k=4..4, m=2..20): k must be < n, got k=4, n=4",
         ]
+
+    @given(spec=_small_grids())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_grid_walk_matches_the_filtered_product(self, caplog, spec):
+        # the walk yields what validate lets through of the full product, and
+        # every point it skips lies in exactly one warned block, whose
+        # message is validate's for the block's first point
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="stiefelq.report"):
+            points = list(report._grid_points(spec))
+        warnings = [rec.getMessage() for rec in caplog.records]
+        valid, skipped = [], []
+        for n in range(spec.n_range[0], spec.n_range[1] + 1):
+            k_lo, k_hi = spec.k_range or (1, n - 1)
+            for k in range(k_lo, k_hi + 1):
+                for m in range(spec.m_range[0], spec.m_range[1] + 1):
+                    try:
+                        valid.append(validate(n, k, m))
+                    except ParameterError:
+                        skipped.append((n, k, m))
+        assert points == valid
+        for n, k, m in skipped + [(q.n, q.k, q.m) for q in valid]:
+            blocks = [w for w in warnings if k in _warned_block(w, n)[0] and m in _warned_block(w, n)[1]]
+            assert len(blocks) == ((n, k, m) in skipped), (n, k, m, blocks)
+        for w in warnings:
+            *_, first, message = _warned_block(w, 0)
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                validate(*first)
+
+    @pytest.mark.parametrize(
+        ("n_range", "k_range", "m_range", "rows", "warned"),
+        [
+            ((3, 3), (1, 3_000_000), (2, 2), 2, ["(n=3, k=3..3000000, m=2..2): k must be < n, got k=3, n=3"]),
+            ((3, 4), None, (-3_000_000, 2), 5, [
+                f"(n={n}, k={k}, m=-3000000..1): m must be >= 2, got -3000000"
+                for n, k in [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
+            ]),
+            ((-30_000_000, 3), None, (2, 2), 3,
+             ["(n=-30000000..1, k=1..n-1, m=2..2): k must be < n, got k=1, n=-30000000"]),
+            ((0, 1), None, (2, 2), 0, ["(n=0..1, k=1..n-1, m=2..2): k must be < n, got k=1, n=0"]),
+            ((2, 10**8), (-5, 0), (2, 2), 0,
+             ["(n=2..100000000, k=-5..0, m=2..2): k must be >= 1, got -5"]),
+            ((3, 10**8), (5, 6), (0, 1), 0,
+             ["(n=3..100000000, k=5..6, m=0..1): k must be < n, got k=5, n=3"]),
+        ],
+    )
+    def test_grid_walk_skips_invalid_blocks_at_once(
+        self, monkeypatch, caplog, n_range, k_range, m_range, rows, warned
+    ):
+        # validations and warnings grow with the rows and the (n, k) runs,
+        # never with the millions of points skipped
+        calls = []
+        monkeypatch.setattr(report, "validate", lambda *a: calls.append(a) or validate(*a))
+        spec = GridSpec(n_range=n_range, k_range=k_range, m_range=m_range)
+        with caplog.at_level(logging.WARNING, logger="stiefelq.report"):
+            points = list(report._grid_points(spec))
+        assert len(points) == rows
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"skipping grid points {w}" for w in warned
+        ]
+        assert len(calls) == rows + len(warned)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_are_computed_in_the_same_chunks_for_every_jobs(self, monkeypatch, inline_pool, jobs):
+        # in-process or pooled, _chunk_rows walks 64 points, then 128 at a
+        # time: the chunks _chunks cuts
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+        walked = []
+
+        def recorded(points, primes, fmt):
+            seen = []
+            walked.append(seen)
+            return chunk_rows((seen.append(q) or q for q in points), primes, fmt)
+
+        chunk_rows = report._chunk_rows
+        monkeypatch.setattr(report, "_chunk_rows", recorded)
+        spec = GridSpec(n_range=(3, 6), k_range=None, m_range=(2, 40), jobs=jobs)
+        points = list(report._grid_points(spec))
+        assert len(list(generate_table(spec))) == 1 + len(points) == 1 + 546
+        assert inline_pool["started"] == ([2] if jobs == 2 else [])
+        assert walked == _chunks(points)
+        assert [len(chunk) for chunk in walked] == [64, 128, 128, 128, 98]
+
+    def test_in_process_chunks_are_walked_point_by_point(self, monkeypatch):
+        # row 1 waits for one grid point, row 2 for the rest of chunk 0; a
+        # later chunk is walked as its rows are asked for, so no row pays for
+        # the 128 validations of a whole chunk
+        calls = []
+        monkeypatch.setattr(report, "validate", lambda *a: calls.append(a) or validate(*a))
+        spec = GridSpec(n_range=(3, 60), k_range=None, m_range=(2, 200))
+        rows = generate_table(spec)
+        assert next(rows) == CSV_HEADER.encode()
+        assert next(rows).startswith(b"3,1,2,") and len(calls) == 1
+        next(rows)
+        assert len(calls) == report._FIRST_ROWS
+        for _ in range(64):
+            row = next(rows)
+        assert row.startswith(b"3,1,67,")  # row 66
+        assert len(calls) <= 67
+        rows.close()
 
     def test_worker_count_is_bounded(self, monkeypatch, inline_pool):
         monkeypatch.setattr(report, "_usable_cpus", lambda: 4)
